@@ -15,7 +15,6 @@ the Figure 8/14 miss-rate growth appears at fleet scale.
 
 from repro import calibration
 from repro.core.stellar import StellarHost
-from repro.memory.address import align_down
 from repro.memory.caches import TranslationCache
 from repro.sim.units import GiB
 from repro.virt.hypervisor import MemoryMode
@@ -35,32 +34,14 @@ class SharedAtc:
         self.cache = TranslationCache(capacity_pages, name="shared-atc")
         self.translation_seconds = 0.0
 
-    def access(self, domain_name, da):
-        """Translate one device address; return True on an ATC hit.
-
-        Misses pay the real ATS round trip against the host IOMMU (and a
-        table walk past the IOTLB reach) and install the reply, evicting
-        some other tenant's page when the cache is full.
-        """
-        page = align_down(da, self.page_size)
-        key = (domain_name, page)
-        hit, _ = self.cache.lookup(key)
-        if hit:
-            self.translation_seconds += calibration.ATC_HIT_SECONDS
-            return True
-        result = self.iommu.ats_translate(domain_name, page)
-        self.cache.insert(key, (result.hpa, result.kind))
-        self.translation_seconds += calibration.ATC_HIT_SECONDS + result.latency
-        return False
-
     def access_many(self, domain_name, das):
-        """Batched :meth:`access` over a page sample; returns the hit count.
+        """Translate a page sample of device addresses; returns the hit count.
 
-        Identical per-page semantics and accounting order (the
-        ``translation_seconds`` float accumulates in the same sequence,
-        so fleet digests are unchanged) — but bound methods and a local
-        accumulator drop the per-page call overhead that dominates
-        fleet-scale iteration touching.
+        Hits pay ``ATC_HIT_SECONDS``.  Misses pay the real ATS round trip
+        against the host IOMMU (and a table walk past the IOTLB reach)
+        and install the reply, evicting some other tenant's page when
+        the cache is full.  Bound methods and a local accumulator keep
+        the per-page cost low for fleet-scale iteration touching.
         """
         hits = 0
         page_size = self.page_size

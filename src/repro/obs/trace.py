@@ -12,6 +12,7 @@ When tracing is off, components hold ``tracer = None`` (or the shared
 """
 
 import json
+from functools import partial
 
 
 #: Phase codes from the Chrome trace-event spec.
@@ -267,7 +268,13 @@ NULL_TRACER = NullTracer()
 
 
 def callback_name(callback):
-    """Human-readable label for a scheduler callback."""
+    """Human-readable label for a scheduler callback.
+
+    A :func:`functools.partial` is labelled by the function it wraps
+    (``PacketNetSim._hop``, ``MessageFlow._on_ack``, ...).
+    """
+    while isinstance(callback, partial):
+        callback = callback.func
     name = getattr(callback, "__qualname__", None)
     if name is None:
         name = type(callback).__name__

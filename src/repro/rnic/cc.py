@@ -47,6 +47,27 @@ class WindowCC:
     def on_send(self, byte_count):
         self.in_flight += byte_count
 
+    def grant(self, mtu, unsent):
+        """Admit a burst: the packet sizes the window allows right now.
+
+        One call per pump for a message with ``unsent`` bytes left, the
+        same comparisons as a per-packet ``can_send(mtu)``/``on_send``
+        loop (the last packet may be a short tail).  The granted bytes
+        are charged to ``in_flight``.
+        """
+        in_flight = self.in_flight
+        window = self.window
+        sizes = []
+        while unsent > 0:
+            if in_flight != 0 and in_flight + mtu > window:
+                break
+            size = mtu if mtu < unsent else unsent
+            unsent -= size
+            in_flight += size
+            sizes.append(size)
+        self.in_flight = in_flight
+        return sizes
+
     def on_ack(self, byte_count, ecn=False, rtt=None, now=None):
         """Credit the window: AI per acked window-fraction, MD on ECN or
         sustained RTT inflation.

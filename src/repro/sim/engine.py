@@ -13,27 +13,22 @@ Hot-path design (the perf suite in :mod:`repro.perf` tracks all of it):
   compared).
 * Live/cancelled counts are maintained incrementally — ``pending()`` is
   O(1) instead of an O(n) heap scan.
-* ``run()`` is a fused loop: one heap pop per event, instead of the old
-  ``peek_time()`` + ``step()`` pair that could touch the heap twice.
-* Cancelled events are skipped lazily, and when tracing is off the heap
-  is compacted once dead entries outnumber live ones (loss-heavy packet
-  runs cancel thousands of RTO timers that would otherwise linger until
-  their deadline).  Traced runs never compact: the tracer's queue-depth
-  samples are part of the determinism digest, and a traced heap must
-  look exactly like it always did.
+* Untraced ``run()`` is a fused loop: one heap pop per event, instead
+  of the ``peek_time()`` + ``step()`` pair that can touch the heap
+  twice.  Traced runs go event by event through ``step()``, the one
+  place callbacks are recorded; both execute the same events in the
+  same order.
+* Cancelled events are skipped lazily, and the heap is compacted once
+  dead entries outnumber live ones (loss-heavy runs can cancel
+  thousands of timers that would otherwise linger until their
+  deadline), whether or not a tracer is attached.
 """
 
 import heapq
 import itertools
 import time
 
-try:
-    from repro.obs.trace import callback_name
-except ImportError:  # pragma: no cover — stripped deployments without obs
-    def callback_name(callback):
-        """Fallback label when the obs package is unavailable."""
-        name = getattr(callback, "__qualname__", None)
-        return name if name is not None else type(callback).__name__
+from repro.obs.trace import callback_name
 
 
 class SimProcessError(RuntimeError):
@@ -77,9 +72,9 @@ class EventScheduler:
     #: Emit a queue-depth counter sample every N traced callbacks.
     QUEUE_SAMPLE_EVERY = 32
 
-    #: Compact the heap (untraced runs only) once cancelled entries both
-    #: outnumber live ones and exceed this floor — below it, lazy
-    #: skipping is cheaper than a heapify.
+    #: Compact the heap once cancelled entries both outnumber live ones
+    #: and exceed this floor — below it, lazy skipping is cheaper than a
+    #: heapify.
     COMPACT_MIN_DEAD = 64
 
     def __init__(self, start_time=0.0, tracer=None):
@@ -101,8 +96,8 @@ class EventScheduler:
 
         Disabled tracers (``NULL_TRACER``) normalize to ``None`` so the run
         loop's only overhead when tracing is off is one ``is not None``
-        test per run.  Attach tracers between ``run()`` calls — the run
-        loop latches the tracer when it starts.
+        test per run.  Attach tracers between ``run()`` calls — ``run()``
+        picks its loop when it starts.
         """
         if tracer is not None and not getattr(tracer, "enabled", True):
             tracer = None
@@ -160,11 +155,7 @@ class EventScheduler:
     def _note_cancel(self):
         """Accounting hook from :meth:`Event.cancel` (pending events only)."""
         dead = self._dead = self._dead + 1
-        if (
-            dead >= self.COMPACT_MIN_DEAD
-            and dead * 2 > len(self._heap)
-            and self.tracer is None
-        ):
+        if dead >= self.COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
             self._compact()
 
     def _compact(self):
@@ -197,9 +188,10 @@ class EventScheduler:
     def step(self):
         """Execute the next live event.  Returns ``False`` when queue is empty.
 
-        The fused ``run()`` loop is the fast path; ``step()`` stays the
-        single-event building block for drivers that need per-event
-        control (``SimSanitizer`` shadows it to interpose checks).
+        The fused ``run()`` loop is the untraced fast path; ``step()`` is
+        the single-event building block that records traced callbacks and
+        that drivers needing per-event control shadow (``SimSanitizer``
+        interposes its checks this way).
         """
         heap = self._heap
         while heap:
@@ -243,18 +235,16 @@ class EventScheduler:
         Returns:
             The number of events executed by this call.
         """
-        if "step" in self.__dict__:
-            # step() has been instance-shadowed (SimSanitizer does this to
-            # interpose per-event checks); honour it instead of the fused
-            # loop so every event still flows through the shadow.
+        if self.tracer is not None or "step" in self.__dict__:
+            # Traced runs record every callback in step(); an instance-
+            # shadowed step() (SimSanitizer interposes per-event checks
+            # this way) must see every event too.
             return self._run_stepped(until, max_events)
         executed = 0
         budget = float("inf") if max_events is None else max_events
         limit = float("inf") if until is None else until
         heap = self._heap
         heappop = heapq.heappop
-        tracer = self.tracer
-        sample_every = self.QUEUE_SAMPLE_EVERY
         while heap:
             if executed >= budget:
                 return executed
@@ -269,72 +259,51 @@ class EventScheduler:
             if event_time > limit:
                 self.now = float(until)
                 return executed
-            if tracer is None:
-                heappop(heap)
-                if is_event:
-                    payload._sched = None
-                    callback = payload.callback
-                else:
-                    callback = payload
-                self.now = event_time
-                self.events_executed += 1
-                executed += 1
-                callback()
-                # Batched dispatch: while the next entries share this
-                # timestamp, drain them here without re-running the
-                # outer loop's limit compare, clock store, and tracer
-                # dispatch — none of which can change within one
-                # timestamp.  Heap pops stay one-per-event (ties are
-                # ordered by seq, which only the heap knows), but the
-                # per-event bookkeeping collapses to the cancellation
-                # check and the budget guard.  Events a callback
-                # schedules at this same timestamp carry larger seqs
-                # and are drained by this same loop, in order; events
-                # it cancels are still heap-resident and are skipped
-                # with exact dead-entry accounting.
-                while heap and heap[0][0] == event_time and executed < budget:
-                    payload = heap[0][2]
-                    if payload.__class__ is Event:
-                        if payload.cancelled:
-                            heappop(heap)
-                            self._dead -= 1
-                            continue
-                        heappop(heap)
-                        payload._sched = None
-                        callback = payload.callback
-                    else:
-                        heappop(heap)
-                        callback = payload
-                    self.events_executed += 1
-                    executed += 1
-                    callback()
-                continue
-            callback = payload.callback if is_event else payload
             heappop(heap)
             if is_event:
                 payload._sched = None
+                callback = payload.callback
+            else:
+                callback = payload
             self.now = event_time
             self.events_executed += 1
             executed += 1
-            # Wall-clock here profiles the *simulator itself*; see step().
-            wall_start = time.perf_counter()  # simlint: ok D-wallclock D-sim-pure
             callback()
-            wall = time.perf_counter() - wall_start  # simlint: ok D-wallclock D-sim-pure
-            depth = None
-            if self.events_executed % sample_every == 0:
-                depth = len(heap)
-            tracer.record_callback(
-                event_time, callback_name(callback), wall, queue_depth=depth
-            )
+            # Batched dispatch: while the next entries share this
+            # timestamp, drain them here without re-running the outer
+            # loop's limit compare and clock store — neither can change
+            # within one timestamp.  Heap pops stay one-per-event (ties
+            # are ordered by seq, which only the heap knows), but the
+            # per-event bookkeeping collapses to the cancellation check
+            # and the budget guard.  Events a callback schedules at this
+            # same timestamp carry larger seqs and are drained by this
+            # same loop, in order; events it cancels are still
+            # heap-resident and are skipped with exact dead-entry
+            # accounting.
+            while heap and heap[0][0] == event_time and executed < budget:
+                payload = heap[0][2]
+                if payload.__class__ is Event:
+                    if payload.cancelled:
+                        heappop(heap)
+                        self._dead -= 1
+                        continue
+                    heappop(heap)
+                    payload._sched = None
+                    callback = payload.callback
+                else:
+                    heappop(heap)
+                    callback = payload
+                self.events_executed += 1
+                executed += 1
+                callback()
         if until is not None and self.now < until:
             self.now = float(until)
         return executed
 
     def _run_stepped(self, until, max_events):
-        """Pre-fusion run loop over ``peek_time()``/``step()``.
-
-        Kept for instance-level ``step`` shadowing; executes the same
-        events in the same order as the fused loop.
+        """Run loop over ``peek_time()``/``step()`` for traced runs and
+        instance-level ``step`` shadowing; executes the same events in
+        the same order as the fused loop.
         """
         executed = 0
         while True:

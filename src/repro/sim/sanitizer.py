@@ -118,7 +118,7 @@ class SimSanitizer:
         leaked = self.scheduler.live_events()
         if not leaked:
             return
-        from repro.sim.engine import callback_name
+        from repro.obs.trace import callback_name
 
         shown = ", ".join(
             "t=%g:%s" % (event.time, callback_name(event.callback))

@@ -1,5 +1,6 @@
 """Tracer unit tests: span ordering, Chrome schema, no-op path."""
 
+import functools
 import json
 
 import pytest
@@ -223,6 +224,16 @@ class TestCallbackName:
     def test_lambda_labeled_by_module(self):
         name = callback_name(lambda: None)
         assert "<lambda>" in name
+
+    def test_partial_named_after_wrapped_function(self):
+        class Flow:
+            def on_ack(self, seq):
+                pass
+
+        name = callback_name(functools.partial(Flow().on_ack, 3))
+        assert name.endswith("Flow.on_ack")
+        nested = functools.partial(functools.partial(Flow.on_ack, None), 3)
+        assert callback_name(nested) == name
 
     def test_callable_object_uses_type_name(self):
         class Ticker:

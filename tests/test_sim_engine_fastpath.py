@@ -44,22 +44,36 @@ class TestCancellationHeavy:
         assert sched.snapshot()["queue_len"] < 4000
         assert sched.snapshot()["queue_len"] >= 10
 
-    def test_traced_scheduler_never_compacts(self):
-        # Queue-depth samples are digest-bearing: with a tracer attached
-        # the heap must keep its historical shape (cancelled entries are
-        # only dropped when they surface at the heap head).
+    def test_traced_scheduler_compacts_like_untraced(self):
+        # A tracer only records: the traced heap compacts exactly when
+        # and how the untraced one does, so queue lengths, pending
+        # counts, and the executed survivors all match.
         class _Tracer:
             enabled = True
 
             def record_callback(self, ts, name, wall, queue_depth=None):
                 pass
 
-        sched = EventScheduler(tracer=_Tracer())
-        events = [sched.schedule(10.0, lambda: None) for _ in range(4000)]
-        for event in events[:-10]:
-            event.cancel()
-        assert sched.snapshot()["queue_len"] == 4000
-        assert sched.pending() == 10
+        def drive(sched):
+            fired = []
+            events = [
+                sched.schedule(10.0, lambda i=i: fired.append(i))
+                for i in range(4000)
+            ]
+            lengths = []
+            for event in events[:-10]:
+                event.cancel()
+                lengths.append(sched.snapshot()["queue_len"])
+            pending = sched.pending()
+            sched.run()
+            return lengths, pending, fired, sched.events_executed
+
+        untraced = drive(EventScheduler())
+        traced = drive(EventScheduler(tracer=_Tracer()))
+        assert traced == untraced
+        assert traced[0][-1] < 4000
+        assert traced[1] == 10
+        assert traced[2] == list(range(3990, 4000))
 
     def test_cancellation_heavy_workload_executes_survivors_in_order(self):
         sched = EventScheduler()
