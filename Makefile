@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke hybrid-smoke perf perf-smoke figures figures-smoke traces traces-smoke tour examples all clean
+.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke hybrid-smoke figures figures-smoke traces traces-smoke tour examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -60,19 +60,6 @@ bench-smoke:
 hybrid-smoke:
 	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro run hybrid-smoke \
 		--workers 2 --no-cache --check-sequential
-
-# Tracked perf suite (repro.perf): full-size kernels, events/sec table,
-# speedup column vs the newest same-mode entry in BENCH_perf.json.
-# Append a run to the trajectory with:
-#   make perf PERF_ARGS="--record --label my-change"
-perf:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.perf $(PERF_ARGS)
-
-# CI-sized perf pass: trimmed kernels plus the >30% machine-normalized
-# regression gate against the newest smoke-mode BENCH_perf.json entry.
-perf-smoke:
-	REPRO_BENCH_SMOKE=1 PYTHONPATH=src:$(PYTHONPATH) \
-		$(PYTHON) -m repro.perf --check $(PERF_ARGS)
 
 # Full figure sweeps through the parallel runner (repro.runner): every
 # sweep point is a cached TaskSpec, so re-running after a code change

@@ -196,25 +196,12 @@ def tour_metrics():
     summary.print()
 
 
-def tour_perf():
-    """Smoke pass of the tracked perf suite (``repro.perf``).
-
-    Full-size kernels and the BENCH_perf.json trajectory live behind
-    ``python -m repro.perf`` / ``make perf``; the tour reuses its CLI in
-    smoke mode so the table and speedup column match exactly.
-    """
-    from repro.perf.__main__ import main as perf_main
-
-    perf_main(["--smoke"])
-
-
 TOURS = {
     "startup": tour_startup,
     "gdr": tour_gdr,
     "spray": tour_spray,
     "metrics": tour_metrics,
     "fleet": tour_fleet,
-    "perf": tour_perf,
 }
 
 

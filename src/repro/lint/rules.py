@@ -53,7 +53,8 @@ RULES = {
     ),
     "D-wallclock": (
         "wall-clock read (time.time/perf_counter/datetime.now/...) outside "
-        "repro.obs/repro.perf; simulations must only consume scheduler.now"
+        "repro.obs/repro.runner.pool; simulations must only consume "
+        "scheduler.now"
     ),
     "D-set-iter": (
         "iteration over a bare set/frozenset; wrap in sorted(...) so the "
@@ -85,7 +86,7 @@ RULES = {
         "import breaks the layer DAG (sim/obs import no domain layer, "
         "memory/pcie never import virt/training, nothing imports legacy, "
         "only workloads imports the cluster layer, traces is imported "
-        "only by workloads/runner/perf and never imports the obs probe)"
+        "only by workloads/runner and never imports the obs probe)"
     ),
     "L-private": (
         "cross-module private-attribute access x._attr; use the public "
@@ -115,7 +116,7 @@ RULES = {
 _DOMAIN_LAYERS = frozenset({
     "core", "memory", "pcie", "rnic", "net", "virt", "training",
     "collectives", "workloads", "analysis", "legacy", "calibration",
-    "cluster", "perf", "runner", "traces",
+    "cluster", "runner", "traces",
 })
 
 #: Infrastructure layers every domain layer may depend on — never the
@@ -145,12 +146,11 @@ WALLCLOCK_IMPORTS = frozenset({
 })
 
 #: Packages sanctioned to read the wall clock: the observability layer
-#: (profiling the simulator itself, never feeding simulated state), the
-#: perf harness (benchmark timing is its whole job), and the runner's
-#: pool module (per-task worker seconds for the report table — task
-#: bodies themselves stay clock-free).  Everything else must consume
-#: ``scheduler.now``.
-WALLCLOCK_ALLOWED = ("repro.obs", "repro.perf", "repro.runner.pool")
+#: (profiling the simulator itself, never feeding simulated state) and
+#: the runner's pool module (per-task worker seconds for the report
+#: table — task bodies themselves stay clock-free).  Everything else
+#: must consume ``scheduler.now``.
+WALLCLOCK_ALLOWED = ("repro.obs", "repro.runner.pool")
 
 #: Modules whose import is ambient randomness.
 RANDOM_MODULES = frozenset({"random", "secrets"})
@@ -399,15 +399,15 @@ def layer_violation(importer_module, imported_module):
         return "repro.%s must not import the cluster layer (only workloads may)" % src
     # traces sits beside workloads: it builds on sim/net/training/
     # collectives and the passive obs surface, and is consumed only by
-    # the drivers (workloads tooling, runner tasks, perf kernels).  The
+    # the drivers (workloads tooling, runner tasks, the CLI).  The
     # fleet's trace recorder arrives via a duck-typed ctor hook, never an
     # import — same inversion as the flight recorder.
     if dst == "traces" and src is not None and src not in (
-        "traces", "workloads", "runner", "perf", "__main__"
+        "traces", "workloads", "runner", "__main__"
     ):
         return (
             "repro.%s must not import the traces layer (recorders attach "
-            "via duck-typed hooks; only workloads/runner/perf replay)" % src
+            "via duck-typed hooks; only workloads/runner/CLI replay)" % src
         )
     if src == "traces" and (
         imported_module == "repro.obs.probe"

@@ -16,8 +16,8 @@ schedules events, and never reads the wall clock, so attaching a
 recorder to a seeded run cannot perturb its metrics or trace digests —
 the property ``repro.obs.determinism`` asserts.  Components hold
 ``flight = None`` by default and guard each hook with one
-``is not None`` test on a rare path, so the disabled-path overhead is
-gated at <= 5% by the ``flight_overhead`` perf kernel.
+``is not None`` test on a rare path, so a run without a recorder pays
+nothing on the hot path.
 
 Payloads must be plain data (scalars, lists, dicts — no sets, lambdas,
 or generators); simlint's ``A-flight-plain`` rule enforces that at every

@@ -1,7 +1,7 @@
 """Parallel experiment runner with content-addressed result caching.
 
-The repo's sweeps — figure series, multi-seed determinism checks, perf
-kernel repeats — are dozens of fully independent seeded runs.  This
+The repo's sweeps — figure series, multi-seed determinism checks, trace
+replays — are dozens of fully independent seeded runs.  This
 package expresses each as a pure, picklable :class:`TaskSpec`, executes
 batches across a ``multiprocessing`` pool with deterministic merge order
 (:func:`run_tasks`), and backs them with an on-disk content-addressed

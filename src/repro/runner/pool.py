@@ -16,7 +16,7 @@ default registry is never touched.
 
 Wall-clock reads in this module time the *runner* (per-task seconds for
 the report table), never simulated state; simlint sanctions exactly this
-module for it, the way it sanctions ``repro.perf``.
+module for it, the way it sanctions ``repro.obs``.
 """
 
 import multiprocessing

@@ -2,7 +2,7 @@
 
 A suite is a named, deterministic list of :class:`~repro.runner.spec.TaskSpec`
 plus an optional ``check`` that audits the merged report (repeat-equality
-for determinism cells, event-count agreement for perf kernels).  The CLI
+for determinism cells and trace replays, health-document shape).  The CLI
 (``python -m repro run <suite>``), ``make figures``, and CI's
 ``figures-smoke`` job all drive these.
 
@@ -189,41 +189,6 @@ def check_health(report):
     return problems
 
 
-def build_perf():
-    """Every perf kernel's repeat pair as pooled determinism cells.
-
-    ``runner_fanout`` is excluded: it drives a pool itself, and pool
-    workers are daemonic — they cannot spawn a nested pool.
-    """
-    from repro.perf.harness import KERNELS
-
-    specs = []
-    for name in KERNELS:
-        if name == "runner_fanout":
-            continue
-        for repeat in (0, 1):
-            specs.append(_spec(
-                "perf/%s/repeat%d" % (name, repeat),
-                "perf_kernel_events",
-                {"name": name, "smoke": True, "repeat": repeat},
-            ))
-    return specs
-
-
-def check_perf(report):
-    problems = []
-    events = {}
-    for key, value in report.rows():
-        events.setdefault(value["name"], set()).add(value["events"])
-    for name, counts in sorted(events.items()):
-        if len(counts) != 1:
-            problems.append(
-                "kernel %s is not deterministic across repeats: %s"
-                % (name, sorted(counts))
-            )
-    return problems
-
-
 def build_traces(trim=False):
     """Replay cells over the bundled trace library.
 
@@ -313,8 +278,6 @@ SUITES = OrderedDict((suite.name, suite) for suite in [
           "(CI-sized)", _build_hybrid_smoke, check_determinism),
     Suite("health", "fleet health documents + merged incident reports",
           _build_health, check_health),
-    Suite("perf", "perf-kernel repeat pairs (event-count determinism)",
-          build_perf, check_perf),
     Suite("traces", "bundled trace replays + record/replay round trip",
           build_traces, check_traces),
     Suite("traces-smoke", "smallest bundled trace replay (CI-sized)",

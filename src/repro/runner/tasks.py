@@ -9,9 +9,9 @@ callable, because these bodies execute inside pool workers where captured
 parent state would silently diverge between sequential and pooled runs.
 
 These tasks are the pooled backend for the Figure 6/8/13/14 sweeps, the
-fleet scenarios, the multi-seed determinism checks, and the perf-kernel
-repeat verification (``python -m repro run``, ``make figures``, and the
-benchmark suite's shared conftest fixture all build specs over them).
+fleet scenarios, the multi-seed determinism checks, and the bundled trace
+replays (``python -m repro run``, ``make figures``, and the benchmark
+suite's shared conftest fixture all build specs over them).
 """
 
 from repro.runner.spec import task
@@ -174,80 +174,6 @@ def fleet_health(scenario="smoke", seed=17):
     document["scenario"] = scenario
     document["seed"] = seed
     return document
-
-
-# -- Perf-kernel repeats -------------------------------------------------
-
-
-@task
-def perf_kernel_events(name, smoke=True, repeat=0):
-    """One perf-kernel execution reduced to its deterministic event count.
-
-    The perf harness repeats each kernel to trim timing noise; expressed
-    as specs, those repeats fan out across the pool and the suite check
-    asserts the event counts agree — the kernel-determinism half of
-    ``time_kernel`` without the wall-clock half.  ``repeat`` keeps the
-    cells distinct in the cache.  Timing still belongs to ``repro.perf``.
-    """
-    from repro.perf.harness import KERNELS
-
-    out = KERNELS[name].fn(smoke=smoke)
-    return {
-        "name": name,
-        "repeat": repeat,
-        "events": out["events"],
-        "meta": out.get("meta", {}),
-    }
-
-
-# -- Fig. 11-style ring (the fanout perf kernel's unit of work) ----------
-
-
-@task
-def fig11_ring(seed=17, servers=8, window=0.002, loss=0.03):
-    """A small seeded Fig. 11-style spray ring with one lossy uplink.
-
-    The ``runner_fanout`` perf kernel runs N of these (distinct seeds) to
-    measure pool fan-out against sequential execution; the returned
-    counters double as the per-task determinism digest.
-    """
-    from repro.net import MessageFlow, PacketNetSim, ServerAddress, run_flows
-    from repro.net.topology import DualPlaneTopology
-    from repro.rnic.cc import WindowCC
-    from repro.sim.units import MB, usec
-
-    topology = DualPlaneTopology(
-        segments=2, servers_per_segment=servers // 2, rails=1, planes=2,
-        aggs_per_plane=8,
-    )
-    sim = PacketNetSim(topology, seed=seed, ecn_threshold=1 * MB)
-    ring = []
-    for i in range(servers // 2):
-        ring.append(ServerAddress(0, i))
-        ring.append(ServerAddress(1, i))
-    flows = []
-    for i, src in enumerate(ring):
-        dst = ring[(i + 1) % len(ring)]
-        flows.append(MessageFlow(
-            sim, "ring-%d" % i, src, dst, 0,
-            message_bytes=200 * MB,
-            algorithm="obs", path_count=64,
-            mtu=128 * 1024, connection_id=i,
-            cc=WindowCC(init_window=2 * 1024 * 1024,
-                        additive_bytes=64 * 1024, target_rtt=usec(150)),
-            recovery="selective",
-        ))
-    if loss > 0:
-        victim = topology.route(ring[0], ring[1], 0, path_id=0, connection_id=0)
-        sim.inject_loss(victim[1], loss)
-    results = run_flows(sim, flows, timeout=window)
-    return {
-        "seed": seed,
-        "events": sim.scheduler.events_executed,
-        "packets": sim.packets_sent,
-        "rtos": sum(r.rtos for r in results),
-        "delivered_bytes": sum(r.bytes_acked for r in results),
-    }
 
 
 # -- Trace-driven workloads (repro.traces) ------------------------------

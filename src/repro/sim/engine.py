@@ -5,7 +5,7 @@ callback)`` triples, ties broken by insertion order so runs are fully
 deterministic.  Components schedule callbacks; the run loop executes them
 in timestamp order until the queue drains or a time/ event budget is hit.
 
-Hot-path design (the perf suite in :mod:`repro.perf` tracks all of it):
+Hot-path design (every simbench workload runs through this loop):
 
 * Heap entries are plain ``(time, seq, event)`` tuples, so ``heappush``/
   ``heappop`` compare tuples in C instead of calling ``Event.__lt__``

@@ -159,8 +159,8 @@ class TraceReplayer:
         #: shape key -> priced seconds; identical comm ops solve once.
         self._price_cache = {}
         #: network-solver work done pricing ops (fluid steps / packet
-        #: events) — the perf kernel's unit of work alongside scheduler
-        #: events.
+        #: events) — reported beside scheduler events as simbench's
+        #: ``traces.pricing_events``.
         self.pricing_events = 0
         self._op_log = []
         self._kind_counts = {}

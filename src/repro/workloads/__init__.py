@@ -10,7 +10,6 @@ from repro.workloads.fleet_bench import (
     fleet1024_tenants,
     fleet1024_topology,
     run_churn,
-    run_fleet1024_churn,
     run_fleet1024_smoke,
     run_fleet_smoke,
     smoke_specs,
@@ -48,7 +47,6 @@ __all__ = [
     "fleet1024_topology",
     "gdr_datapath_curve",
     "run_churn",
-    "run_fleet1024_churn",
     "run_fleet1024_smoke",
     "run_fleet_smoke",
     "smoke_specs",

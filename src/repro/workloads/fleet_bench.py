@@ -261,20 +261,6 @@ def build_fleet1024(seed=CHURN_SEED, tracer=None, registry=None,
     return fleet
 
 
-def run_fleet1024_churn(seed=CHURN_SEED, tracer=None, registry=None,
-                        policy=PlacementPolicy.SPREAD,
-                        horizon=_FLEET1024_HORIZON, failure=True, flight=None,
-                        trace_recorder=None, fidelity="fluid"):
-    """Run the 1024-host churn scenario to drain; ``(fleet, result)``."""
-    fleet = build_fleet1024(
-        seed=seed, tracer=tracer, registry=registry, policy=policy,
-        horizon=horizon, failure=failure, flight=flight,
-        trace_recorder=trace_recorder, fidelity=fidelity,
-    )
-    result = fleet.run()
-    return fleet, result
-
-
 def run_fleet1024_smoke(seed=CHURN_SEED, tracer=None, registry=None,
                         flight=None, trace_recorder=None, fidelity="fluid"):
     """The CI smoke leg of the 1024-host scenario.

@@ -229,7 +229,7 @@ class TestChurnScenario:
 
 
 class TestFleet1024:
-    """Paper-scale (1024-host) variant behind the fleet_1024_churn kernel."""
+    """Paper-scale (1024-host) variant behind simbench's fleet workloads."""
 
     def test_topology_is_paper_scale(self):
         from repro.workloads.fleet_bench import fleet1024_topology

@@ -1,10 +1,10 @@
-"""A tracer observes a packet run; it never changes what the run does.
+"""An observer watches a packet run; it never changes what the run does.
 
-The same lossy run, driven once with a :class:`repro.obs.Tracer`
-attached and once without, must produce identical flow results, fabric
-and per-port counters, and executed-event counts, in both recovery
-modes.  A traced run is then the very program the perf kernels and the
-benchmark measure.
+The same lossy run, driven once bare and once with an observer attached
+(a :class:`repro.obs.Tracer` or a :class:`repro.obs.flight.FlightRecorder`),
+must produce identical flow results, fabric and per-port counters, and
+executed-event counts, in both recovery modes.  An observed run is then
+the very program the benchmark measures.
 """
 
 import pytest
@@ -17,14 +17,15 @@ from repro.net import (
     run_flows,
 )
 from repro.obs import Tracer
+from repro.obs.flight import FlightRecorder
 from repro.rnic.cc import WindowCC
 from repro.sim.units import MB
 
 
-def _lossy_run(recovery, tracer):
+def _lossy_run(recovery, tracer=None, flight=None):
     topology = DualPlaneTopology(segments=2, servers_per_segment=4, rails=1,
                                  planes=2, aggs_per_plane=4)
-    sim = PacketNetSim(topology, seed=11, tracer=tracer)
+    sim = PacketNetSim(topology, seed=11, tracer=tracer, flight=flight)
     sim.inject_loss(topology.tor_uplinks(segment=0, rail=0)[0], 0.05)
     flows = [
         MessageFlow(
@@ -51,14 +52,21 @@ def _lossy_run(recovery, tracer):
 
 
 @pytest.mark.parametrize("recovery", ["selective", "go_back_n"])
-def test_traced_run_equals_untraced_run(recovery):
-    untraced = _lossy_run(recovery, tracer=None)
-    tracer = Tracer("traced-equals-untraced")
-    traced = _lossy_run(recovery, tracer=tracer)
-    assert sum(rtos for *_, rtos in untraced["results"]) >= 1
-    assert all(acked == 2 * MB for _, acked, *_ in untraced["results"])
-    assert any(event.name == "flow.rto" for event in tracer.events)
-    assert traced["results"] == untraced["results"]
-    assert traced["fabric"] == untraced["fabric"]
-    assert traced["ports"] == untraced["ports"]
-    assert traced["events"] == untraced["events"]
+@pytest.mark.parametrize("observer", ["tracer", "flight"])
+def test_observed_run_equals_bare_run(observer, recovery):
+    bare = _lossy_run(recovery)
+    if observer == "tracer":
+        tracer = Tracer("observed-equals-bare")
+        observed = _lossy_run(recovery, tracer=tracer)
+        assert any(event.name == "flow.rto" for event in tracer.events)
+    else:
+        flight = FlightRecorder()
+        observed = _lossy_run(recovery, flight=flight)
+        assert flight.recorded > 0
+        assert flight.dropped == 0
+    assert sum(rtos for *_, rtos in bare["results"]) >= 1
+    assert all(acked == 2 * MB for _, acked, *_ in bare["results"])
+    assert observed["results"] == bare["results"]
+    assert observed["fabric"] == bare["fabric"]
+    assert observed["ports"] == bare["ports"]
+    assert observed["events"] == bare["events"]
