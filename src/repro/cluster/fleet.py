@@ -244,8 +244,7 @@ class FleetSimulation:
         #: counts as a fidelity trigger.
         self.active_losses = []
         self.loss_injections = 0
-        #: Packet events spent pricing promoted epochs (fresh solves
-        #: only; memoized epochs are free).
+        #: Packet events spent pricing promoted epochs.
         self.fidelity_pricing_events = 0
         #: DP-allreduce byte ledger, split by the regime that priced each
         #: iteration block.  fluid + packet == total is the cross-fidelity
@@ -263,16 +262,10 @@ class FleetSimulation:
         self.rate_epochs = 0
         self._starting = 0
         self._running = 0
-        #: Congestion-epoch memo: (failed links, running-job membership)
-        #: -> {job.index: iter_seconds} for the multi-host jobs.  A fresh
-        #: same-seed FluidSimulation is a pure function of those inputs,
-        #: so a repeat epoch (churn re-pricing the same fleet state) can
-        #: reuse the previous solve bit-for-bit — see _recompute_rates().
-        self._epoch_cache = {}
-        #: Cross-epoch reuse below the epoch cache, all bit-identical to
+        #: Cross-epoch reuse inside the epoch solves, all bit-identical to
         #: recomputation by construction: sprayed-ring plan rows shared
         #: by every congestion-epoch FluidSimulation (the incidence
-        #: structure the ISSUE-9 vectorization exposes), per-(job,
+        #: structure the vectorized solver exposes), per-(job,
         #: placement) background draw counts plus the repeated-sum table
         #: their loads collapse onto, and per-(job, failed-links) ring
         #: penalties.
@@ -280,12 +273,6 @@ class FleetSimulation:
         self._bg_counts = {}
         self._bg_partial_sums = [0.0]
         self._penalty_cache = {}
-        #: Promoted-epoch memo: (epoch key, active losses) -> (per-job
-        #: values, packet events, CC-collapsed flag).  Like the fluid
-        #: epoch cache, a packet epoch is a pure function of fleet state
-        #: and the fleet seed, so repeats inside one promoted window are
-        #: bit-identical replays.
-        self._packet_epoch_cache = {}
         self._dp_volume_cache = {}
 
     # -- workload intake ---------------------------------------------------
@@ -599,8 +586,7 @@ class FleetSimulation:
         self._instant("fidelity-demote", {"window_start": start})
         self._record("fidelity-demote", window_start=start, window_end=end)
         # Demotion handoff: re-price immediately so the fleet leaves the
-        # window on fluid steady-state rates (usually an epoch-cache hit,
-        # i.e. bit-identical to the pre-window steady state).
+        # window on fluid steady-state rates.
         self._recompute_rates()
 
     def _auto_victim(self):
@@ -824,30 +810,15 @@ class FleetSimulation:
         The contended fluid solve is a pure function of (failed links,
         running-job membership and placement): the FluidSimulation is
         built fresh with the fleet seed, every RngStream it feeds is
-        derived from job specs, and the trainer is stateless.  Repeat
-        epochs — churny fleets constantly re-price the same steady state
-        between arrivals — therefore reuse the memoized per-job
-        iteration times instead of re-running the whole solve; cached
-        values are bit-identical to recomputation by construction.
+        derived from job specs, and the trainer is stateless.
         """
         self.rate_epochs += 1
         running = [job for job in self.jobs if job.state is JobState.RUNNING]
         multi = [job for job in running if len(job.unique_hosts()) >= 2]
         if multi:
-            epoch_key = (
-                tuple(sorted(
-                    (link.kind, link.key) for link in self.failed_links
-                )),
-                tuple(
-                    (job.index, tuple(h.name for h in job.unique_hosts()))
-                    for job in running
-                ),
-            )
-            fluid = self._fluid_epoch_values(running, multi, epoch_key)
+            fluid = self._fluid_epoch_values(running, multi)
             if self.fidelity.active(self.engine.now):
-                values = self._packet_epoch_values(
-                    running, multi, epoch_key, fluid
-                )
+                values = self._solve_packet_epoch(running, multi, fluid)
                 regime = "packet"
             else:
                 values, regime = fluid, "fluid"
@@ -869,59 +840,33 @@ class FleetSimulation:
         self._record("congestion-epoch", running=self._running,
                      links_down=len(self.failed_links))
 
-    def _fluid_epoch_values(self, running, multi, epoch_key):
+    def _fluid_epoch_values(self, running, multi):
         """The fluid solve for one epoch: {job.index: (iter, dp, bw)}.
 
         Computed exactly as before the hybrid engine existed (same task
-        launch order, same float sequence) and memoized per epoch key;
-        the per-GPU bandwidth rides along as the third element so packet
-        windows can seed their CC contexts from the fluid fair share.
+        launch order, same float sequence); the per-GPU bandwidth rides
+        along as the third element so packet windows can seed their CC
+        contexts from the fluid fair share.
         """
-        cached = self._epoch_cache.get(epoch_key)
-        if cached is None:
-            contended = ContendedTopology(
-                self.topology, self._background_rates(running)
-            )
-            sim = FluidSimulation(contended, dt=self.congestion_dt,
-                                  seed=self.seed,
-                                  plan_cache=self._plan_cache)
-            tasks = []
-            for job in multi:
-                tasks.append((job, self._launch_ring(job, sim)))
-            sim.run(duration=self.congestion_seconds)
-            cached = {}
-            for job, task in tasks:
-                per_gpu = self._per_gpu_bandwidth(job, task)
-                breakdown = self._iteration_breakdown(job, per_gpu)
-                cached[job.index] = (breakdown.total, breakdown.dp, per_gpu)
-            self._epoch_cache[epoch_key] = cached
-        return cached
-
-    def _packet_epoch_values(self, running, multi, epoch_key, fluid_values):
-        """Price a promoted epoch at packet granularity (memoized).
-
-        The memo key extends the fluid epoch key with the active loss
-        injections — loss is invisible to the fluid solver but very much
-        visible to a packet window.  A solve that left any flow's CC
-        window at its floor re-fires the ``cc-collapse`` trigger (on
-        cache hits too, so replayed epochs extend windows identically).
-        """
-        loss_key = tuple(sorted(
-            (link.kind, link.key, rate) for link, rate in self.active_losses
-        ))
-        key = (epoch_key, loss_key)
-        cached = self._packet_epoch_cache.get(key)
-        if cached is None:
-            cached = self._solve_packet_epoch(running, multi, fluid_values)
-            self._packet_epoch_cache[key] = cached
-            self.fidelity_pricing_events += cached[1]
-        values, _events, collapsed = cached
-        if collapsed:
-            self._fidelity_trigger("cc-collapse")
+        contended = ContendedTopology(
+            self.topology, self._background_rates(running)
+        )
+        sim = FluidSimulation(contended, dt=self.congestion_dt,
+                              seed=self.seed, plan_cache=self._plan_cache)
+        tasks = []
+        for job in multi:
+            tasks.append((job, self._launch_ring(job, sim)))
+        sim.run(duration=self.congestion_seconds)
+        values = {}
+        for job, task in tasks:
+            per_gpu = self._per_gpu_bandwidth(job, task)
+            breakdown = self._iteration_breakdown(job, per_gpu)
+            values[job.index] = (breakdown.total, breakdown.dp, per_gpu)
         return values
 
     def _solve_packet_epoch(self, running, multi, fluid_values):
-        """One packet-level DES window over every multi-host DP ring.
+        """Price a promoted epoch: one packet-level DES window over every
+        multi-host DP ring, returning {job.index: (iter, dp, bw)}.
 
         Promotion handoff: each ring edge's :class:`WindowCC` opens at
         the bandwidth-delay product of its fluid fair share, so flows
@@ -929,9 +874,11 @@ class FleetSimulation:
         window.  Failed links become 100% loss on the real port — RTOs,
         re-spray and window cuts replace the analytic path-survival
         penalty — and active loss injections drop packets at their real
-        rate.  The measured goodput is the ring's slowest edge over the
-        window, scaled exactly like the fluid treatment (rail-0 ring
-        times ``rails``, divided across the host's GPUs).
+        rate (loss is invisible to the fluid solver).  The measured
+        goodput is the ring's slowest edge over the window, scaled exactly
+        like the fluid treatment (rail-0 ring times ``rails``, divided
+        across the host's GPUs).  A window that leaves any flow's CC
+        window at its floor re-fires the ``cc-collapse`` trigger.
         """
         contended = ContendedTopology(
             self.topology, self._background_rates(running)
@@ -979,6 +926,7 @@ class FleetSimulation:
                 ))
             jobs_flows.append((job, flows))
         psim.run(until=window, max_events=_PRICING_MAX_EVENTS)
+        self.fidelity_pricing_events += psim.scheduler.events_executed
         values = {}
         collapsed = False
         for job, flows in jobs_flows:
@@ -993,7 +941,9 @@ class FleetSimulation:
             for flow in flows:
                 if flow.conn.cc.window <= flow.conn.cc.min_window:
                     collapsed = True
-        return (values, psim.scheduler.events_executed, collapsed)
+        if collapsed:
+            self._fidelity_trigger("cc-collapse")
+        return values
 
     # -- working-set sampling ----------------------------------------------
 

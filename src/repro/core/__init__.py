@@ -4,13 +4,11 @@ datapath, multi-path packet spraying, vStellar devices, and the assembled
 """
 
 from repro.core.emtt import (
-    AtsRegistrar,
     EmttError,
     EmttRegistrar,
     RcRoutedRegistrar,
     gpu_hpa_chunks,
     host_gpa_chunks,
-    host_hpa_chunks,
 )
 from repro.core.pvdma import (
     HazardOutcome,
@@ -35,13 +33,11 @@ from repro.core.stellar import LaunchRecord, StellarHost
 from repro.core.vstellar import StellarRnic, VStellarDevice, VStellarError
 
 __all__ = [
-    "AtsRegistrar",
     "EmttError",
     "EmttRegistrar",
     "RcRoutedRegistrar",
     "gpu_hpa_chunks",
     "host_gpa_chunks",
-    "host_hpa_chunks",
     "HazardOutcome",
     "MapCacheStats",
     "PvdmaEngine",

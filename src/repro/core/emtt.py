@@ -7,11 +7,11 @@ switches route them peer-to-peer without consulting the root complex —
 erasing the ATC-miss cliff of Figure 8 and the RC bottleneck of Figure 14.
 
 This module provides the registration helpers that populate RNIC MTTs in
-each of the three regimes the paper compares:
+two of the three regimes the paper compares (the third, the CX6-style
+ATS/ATC baseline, is the ``ATS_ATC`` datapath mode of
+:mod:`repro.rnic.datapath`):
 
 * :class:`EmttRegistrar` — Stellar: final HPAs + owner kind (translated).
-* :class:`AtsRegistrar` — the CX6-style baseline: device addresses that the
-  RNIC's ATC/ATS machinery translates per page at access time.
 * :class:`RcRoutedRegistrar` — HyV/MasQ: device addresses emitted
   untranslated, leaving all translation (and all GPU P2P reflection) to
   the root complex.
@@ -23,11 +23,6 @@ from repro.rnic.verbs import VerbsError
 
 class EmttError(VerbsError):
     """Invalid eMTT registration."""
-
-
-def host_hpa_chunks(container, gva_region):
-    """GVA -> final HPA chunks for a guest buffer (full chain resolved)."""
-    return container.gva_to_hpa_chunks(gva_region.start, gva_region.length)
 
 
 def host_gpa_chunks(container, gva_region):
@@ -67,45 +62,6 @@ class EmttRegistrar:
         chunks = gpu_hpa_chunks(gpu, offset, length, va_base)
         return self.nic.reg_mr(
             pd, chunks[0][0], chunks, MemoryKind.GPU_HBM, translated=True
-        )
-
-
-class AtsRegistrar:
-    """Registers regions the PCIe ATS/ATC way (the Figure 8 baseline).
-
-    The MTT stores device addresses; the IOMMU domain must already map
-    them (VFIO or PVDMA did that), and every access pays ATC/ATS costs.
-    """
-
-    def __init__(self, nic, iommu, domain_name):
-        if nic.mode.value != "ats_atc":
-            raise EmttError(
-                "AtsRegistrar requires an ATS_ATC-mode RNIC, got %s" % nic.mode.value
-            )
-        self.nic = nic
-        self.iommu = iommu
-        self.domain_name = domain_name
-
-    def register_host(self, pd, container, gva_region):
-        chunks = host_gpa_chunks(container, gva_region)
-        return self.nic.reg_mr(
-            pd, gva_region.start, chunks, MemoryKind.HOST_DRAM, translated=False
-        )
-
-    def register_gpu(self, pd, gpu, offset, length, da_base):
-        """Register GPU memory behind the IOMMU: map DA -> HBM HPA first,
-        then store the DA in the MTT for per-access ATS translation."""
-        self.iommu.map(
-            self.domain_name,
-            da_base,
-            gpu.hbm_address(offset),
-            length,
-            kind=MemoryKind.GPU_HBM,
-            pin=False,
-        )
-        return self.nic.reg_mr(
-            pd, da_base, [(da_base, da_base, length)], MemoryKind.GPU_HBM,
-            translated=False,
         )
 
 

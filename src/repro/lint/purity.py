@@ -16,7 +16,7 @@ is a per-source reverse BFS, so the witness chain reported to the user
 is a real static call path, not a may-alias guess).
 
 Allowlists are honored at the *source*: wall-clock reads inside the
-``WALLCLOCK_ALLOWED`` packages (obs self-profiling, runner pool timing)
+``WALLCLOCK_ALLOWED`` packages (runner pool timing)
 and seeded randomness inside ``repro.sim.rng`` produce no taint at all.
 ``# simlint: ok <rule>`` waivers are also applied at the source line —
 waiving ``D-wallclock`` there silences the per-file rule but leaves the

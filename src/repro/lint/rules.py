@@ -12,9 +12,9 @@ invariant.
 Three rule families (see :data:`RULES` for one-liners):
 
 * **D-rules** — determinism.  All randomness flows through
-  :mod:`repro.sim.rng`; all wall-clock reads live in :mod:`repro.obs`
-  (self-profiling) or carry a waiver; sets are never iterated bare; no
-  ``id()``-based sort keys.
+  :mod:`repro.sim.rng`; all wall-clock reads live in
+  :mod:`repro.runner.pool` (per-task timing) or carry a waiver; sets are
+  never iterated bare; no ``id()``-based sort keys.
 * **L-rules** — layering.  The import DAG is explicit: ``sim``/``obs``
   never import a domain layer, ``memory``/``pcie`` never import
   ``virt``/``training``, nothing outside ``legacy`` imports ``legacy``.
@@ -53,7 +53,7 @@ RULES = {
     ),
     "D-wallclock": (
         "wall-clock read (time.time/perf_counter/datetime.now/...) outside "
-        "repro.obs/repro.runner.pool; simulations must only consume "
+        "repro.runner.pool; simulations must only consume "
         "scheduler.now"
     ),
     "D-set-iter": (
@@ -145,12 +145,11 @@ WALLCLOCK_IMPORTS = frozenset({
     "perf_counter_ns", "process_time", "process_time_ns",
 })
 
-#: Packages sanctioned to read the wall clock: the observability layer
-#: (profiling the simulator itself, never feeding simulated state) and
-#: the runner's pool module (per-task worker seconds for the report
-#: table — task bodies themselves stay clock-free).  Everything else
-#: must consume ``scheduler.now``.
-WALLCLOCK_ALLOWED = ("repro.obs", "repro.runner.pool")
+#: Packages sanctioned to read the wall clock: only the runner's pool
+#: module (per-task worker seconds for the report table — task bodies
+#: themselves stay clock-free).  Everything else must consume
+#: ``scheduler.now``.
+WALLCLOCK_ALLOWED = ("repro.runner.pool",)
 
 #: Modules whose import is ambient randomness.
 RANDOM_MODULES = frozenset({"random", "secrets"})

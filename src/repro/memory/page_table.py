@@ -141,10 +141,6 @@ class PageTable:
             remaining -= in_page
         return chunks
 
-    def mapped_pages(self):
-        """Sorted list of mapped source page addresses."""
-        return sorted(self._entries)
-
     def __repr__(self):
         spaces = ""
         if self.source_space and self.target_space:

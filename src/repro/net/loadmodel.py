@@ -27,9 +27,6 @@ class PortLoads:
     def load(self, link):
         return self.bytes_by_link.get(link, 0.0)
 
-    def loads_for(self, links):
-        return [self.load(link) for link in links]
-
     def rates_for(self, links, duration):
         """Offered rate in bits/second per port over ``duration`` seconds."""
         if duration <= 0:

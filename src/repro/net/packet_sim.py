@@ -84,13 +84,6 @@ class PortState:
         """Backlog implied by the busy horizon (virtual output queue)."""
         return max(0.0, (self.busy_until - now) * self.rate / 8.0)
 
-    def sample_queue(self, now):
-        depth = self.queue_bytes(now)
-        self.queue_samples += 1
-        self.queue_sample_sum += depth
-        self.queue_max = max(self.queue_max, depth)
-        return depth
-
     @property
     def queue_avg(self):
         return self.queue_sample_sum / self.queue_samples if self.queue_samples else 0.0
@@ -269,7 +262,7 @@ class PacketNetSim:
             on_delivered(latency, ecn)
             return
         port = ports[index]
-        # Inlined PortState.sample_queue()/queue_bytes().
+        # Inlined PortState.queue_bytes(), plus the queue-depth sample.
         queue = (port.busy_until - now) * port.rate / 8.0
         if queue <= 0.0:
             queue = 0.0

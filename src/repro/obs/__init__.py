@@ -25,7 +25,6 @@ from repro.obs.export import (
     metrics_document,
     perfetto_document,
     write_chrome_trace,
-    write_metrics_csv,
     write_metrics_json,
     write_perfetto_trace,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "metrics_document",
     "perfetto_document",
     "write_chrome_trace",
-    "write_metrics_csv",
     "write_metrics_json",
     "write_perfetto_trace",
     "FlightEvent",

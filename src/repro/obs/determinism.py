@@ -10,11 +10,9 @@ registries/tracers and diffs
 * the **trace-event digest** — SHA-256 over the canonicalized Chrome
   trace JSON.
 
-Wall-clock self-profiling fields (``wall_us`` in callback events, the
-``dur`` of callback spans measured in host time) are stripped before
-hashing: they describe how fast the *simulator* ran, not what the
-*simulation* did, and legitimately differ between runs.  Everything else
-must match exactly; :func:`check_determinism` reports the first
+The ``dur`` of scheduler-callback spans (always zero) stays out of the
+hash, so digests remain comparable with earlier versions.  Everything
+else must match exactly; :func:`check_determinism` reports the first
 mismatching keys when it does not.
 
 CI gates on this via ``tests/test_determinism.py``.
@@ -24,29 +22,16 @@ import hashlib
 import json
 
 
-#: Trace-event arg keys that carry host wall-clock measurements.
-_WALL_ARG_KEYS = ("wall_us",)
-
-
 def canonical_trace_events(tracer):
-    """The tracer's Chrome records with wall-clock fields removed.
+    """The tracer's Chrome records, callback spans without their ``dur``.
 
     Callback events keep their sim timestamp and name — the *schedule*
-    must reproduce — but lose the host-time profile riding in ``args``.
+    must reproduce.
     """
-    document = tracer.to_chrome()
     events = []
-    for record in document["traceEvents"]:
-        record = dict(record)
-        args = record.get("args")
-        if args and any(key in args for key in _WALL_ARG_KEYS):
-            args = {k: v for k, v in args.items() if k not in _WALL_ARG_KEYS}
-            if args:
-                record["args"] = args
-            else:
-                record.pop("args")
+    for record in tracer.to_chrome()["traceEvents"]:
         if record.get("cat") == "callback":
-            record.pop("dur", None)  # host-time span width
+            record.pop("dur", None)  # to_chrome() builds fresh dicts
         events.append(record)
     return events
 

@@ -1,4 +1,4 @@
-"""File exporters: Chrome trace JSON and metrics snapshots (JSON/CSV).
+"""File exporters: Chrome trace JSON and metrics snapshots (JSON).
 
 The trace file loads directly in https://ui.perfetto.dev or
 ``chrome://tracing``; the metrics JSON is the Neohost-style dump the
@@ -8,7 +8,6 @@ trace: sampled series render as counter tracks, flight events as instant
 markers plus a running severity counter.
 """
 
-import csv
 import json
 
 _SEVERITY_SCOPE = "t"  # instant-event scope: thread
@@ -114,17 +113,6 @@ def write_metrics_json(registry, path):
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1, sort_keys=True)
     return len(document["metrics"])
-
-
-def write_metrics_csv(registry, path):
-    """Dump the registry snapshot as two-column CSV (counter, value)."""
-    snapshot = registry.snapshot()
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["counter", "value"])
-        for name, value in snapshot.items():
-            writer.writerow([name, value])
-    return len(snapshot)
 
 
 def load_chrome_trace(path):

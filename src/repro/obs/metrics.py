@@ -254,9 +254,6 @@ class MetricsRegistry:
             raise MetricError("provider prefix must be non-empty")
         self._providers[prefix] = snapshot_fn
 
-    def remove_provider(self, prefix):
-        self._providers.pop(prefix, None)
-
     def providers(self):
         return dict(self._providers)
 

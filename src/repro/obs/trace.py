@@ -2,10 +2,8 @@
 
 Timestamps are **simulation** time converted to microseconds — load the
 exported JSON in https://ui.perfetto.dev (or ``chrome://tracing``) and the
-timeline reads in sim time.  Wall-clock self-profiling of scheduler
-callbacks rides along in event ``args`` and in an aggregated per-callback
-table (:meth:`Tracer.self_profile`), since a sim that is slow in *wall*
-time at some *sim* instant is exactly what the profiler must surface.
+timeline reads in sim time.  Nothing here reads the host clock, so a
+trace describes what the simulation did, never how fast it ran.
 
 When tracing is off, components hold ``tracer = None`` (or the shared
 :data:`NULL_TRACER`) and hot paths pay a single ``is not None`` test.
@@ -74,7 +72,6 @@ class Tracer:
         self.events = []
         self._tracks = {}       # track name -> tid
         self._open_spans = {}   # tid -> [span name stack]
-        self._wall_profile = {} # callback name -> [calls, wall_seconds]
 
     # -- tracks ----------------------------------------------------------
 
@@ -144,30 +141,18 @@ class Tracer:
 
     # -- scheduler hook --------------------------------------------------
 
-    def record_callback(self, ts, name, wall_seconds, queue_depth=None):
-        """One executed scheduler callback: sim instant + wall self-time.
+    def record_callback(self, ts, name, queue_depth=None):
+        """One executed scheduler callback at sim instant ``ts``.
 
         Called by :meth:`repro.sim.engine.EventScheduler.step`.  The event
-        lands on the ``scheduler`` track; aggregated wall totals feed
-        :meth:`self_profile`.
+        lands on the ``scheduler`` track as a zero-width span.
         """
-        entry = self._wall_profile.get(name)
-        if entry is None:
-            self._wall_profile[name] = [1, wall_seconds]
-        else:
-            entry[0] += 1
-            entry[1] += wall_seconds
         self.events.append(TraceEvent(
             name, "callback", _PH_COMPLETE, self._us(ts),
             self.track("scheduler"), dur=0.0,
-            args={"wall_us": wall_seconds * 1e6},
         ))
         if queue_depth is not None:
             self.counter("scheduler.queue_depth", ts, {"events": queue_depth})
-
-    def self_profile(self):
-        """``{callback name: (calls, total wall seconds)}`` aggregate."""
-        return {name: tuple(entry) for name, entry in self._wall_profile.items()}
 
     # -- export ----------------------------------------------------------
 
@@ -200,7 +185,6 @@ class Tracer:
     def clear(self):
         self.events = []
         self._open_spans.clear()
-        self._wall_profile.clear()
 
     def __len__(self):
         return len(self.events)
@@ -246,9 +230,6 @@ class NullTracer:
 
     def record_callback(self, *args, **kwargs):
         pass
-
-    def self_profile(self):
-        return {}
 
     def to_chrome(self):
         return {"traceEvents": [], "displayTimeUnit": "ms"}

@@ -130,9 +130,6 @@ class BaseRnic:
         self._qps[qp.qpn] = qp
         return qp
 
-    def destroy_qp(self, qp):
-        self._qps.pop(qp.qpn, None)
-
     def qp(self, qpn):
         try:
             return self._qps[qpn]

@@ -80,19 +80,28 @@ def build_determinism():
 
     ``run`` enters the cache key, so repeats stay distinct tasks; the
     check then requires same-seed digests to agree and cross-seed fleet
-    digests to differ (a scenario that ignores its seed is a bug).
+    digests to differ (a scenario that ignores its seed is a bug).  With
+    the hybrid-smoke suite this covers every contract digest: the probe
+    and the fleet churn, smoke and hybrid scenarios at seeds 17 and 23.
     """
     specs = []
-    for run in (0, 1):
-        specs.append(_spec(
-            "determinism/probe/seed17/run%d" % run,
-            "probe_digests", {"run": run}, seed=17,
-        ))
+    for seed in (17, 23):
+        for run in (0, 1):
+            specs.append(_spec(
+                "determinism/probe/seed%d/run%d" % (seed, run),
+                "probe_digests", {"run": run}, seed=seed,
+            ))
     for seed in (17, 23):
         for run in (0, 1):
             specs.append(_spec(
                 "determinism/fleet/seed%d/run%d" % (seed, run),
                 "fleet_digests", {"run": run, "scenario": "smoke"}, seed=seed,
+            ))
+    for seed in (17, 23):
+        for run in (0, 1):
+            specs.append(_spec(
+                "determinism/fleet-churn/seed%d/run%d" % (seed, run),
+                "fleet_digests", {"run": run, "scenario": "churn"}, seed=seed,
             ))
     return specs
 
@@ -136,11 +145,16 @@ def check_determinism(report):
                 % (prefix, len(digests))
             )
         if prefix.startswith("determinism/fleet"):
-            seed_digests[prefix] = cells[0][1]["trace_digest"]
-    if len(seed_digests) > 1 and len(set(seed_digests.values())) == 1:
-        problems.append(
-            "fleet seeds produced identical traces (seed unused?)"
-        )
+            scenario, _, _ = prefix.rpartition("/")  # strip the seedN leg
+            seed_digests.setdefault(scenario, []).append(
+                cells[0][1]["trace_digest"]
+            )
+    for scenario, digests in sorted(seed_digests.items()):
+        if len(digests) > 1 and len(set(digests)) == 1:
+            problems.append(
+                "%s: fleet seeds produced identical traces (seed unused?)"
+                % scenario
+            )
     return problems
 
 

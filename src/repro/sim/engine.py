@@ -26,7 +26,6 @@ Hot-path design (every simbench workload runs through this loop):
 
 import heapq
 import itertools
-import time
 
 from repro.obs.trace import callback_name
 
@@ -207,20 +206,14 @@ class EventScheduler:
             self.now = event_time
             self.events_executed += 1
             tracer = self.tracer
-            if tracer is None:
-                callback()
-                return True
-            # Wall-clock here profiles the *simulator itself* (how long a
-            # callback took in host time); it never feeds simulation state.
-            wall_start = time.perf_counter()  # simlint: ok D-wallclock D-sim-pure
             callback()
-            wall = time.perf_counter() - wall_start  # simlint: ok D-wallclock D-sim-pure
-            depth = None
-            if self.events_executed % self.QUEUE_SAMPLE_EVERY == 0:
-                depth = len(heap)
-            tracer.record_callback(
-                event_time, callback_name(callback), wall, queue_depth=depth
-            )
+            if tracer is not None:
+                depth = None
+                if self.events_executed % self.QUEUE_SAMPLE_EVERY == 0:
+                    depth = len(heap)
+                tracer.record_callback(
+                    event_time, callback_name(callback), queue_depth=depth
+                )
             return True
         return False
 

@@ -85,12 +85,6 @@ class TraceOp:
         self.deps = list(deps)
         self.meta = dict(meta) if meta else {}
 
-    def participants(self):
-        """The ranks this op occupies (list, deterministic order)."""
-        if self.ranks is not None:
-            return list(self.ranks)
-        return [self.rank] if self.rank is not None else []
-
     def to_dict(self):
         record = {"id": self.id, "kind": self.kind}
         if self.rank is not None:

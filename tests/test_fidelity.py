@@ -205,3 +205,33 @@ class TestHybridParityAndDeterminism:
         report = check_fleet_determinism(seeds=(17, 23), runs=2,
                                          scenario="hybrid")
         assert report.ok, report.describe()
+
+
+def _lossy_churn(fidelity):
+    """The churn scenario without its link failure, plus 5% random loss
+    on one live uplink for ten sim seconds."""
+    fleet = build_churn_fleet(seed=17, failure=False, fidelity=fidelity)
+    fleet.inject_loss(30.0, 10.0, loss=0.05)
+    fleet.run()
+    return fleet.snapshot()
+
+
+class TestLossTrigger:
+    def test_hybrid_loss_promotes_and_prices_a_lossy_packet_window(self):
+        snap = _lossy_churn("hybrid")
+        assert snap["loss_injections"] == 1
+        assert snap["fidelity_promotions"] >= 1
+        assert snap["dp_bytes_packet"] > 0
+        assert (snap["dp_bytes_fluid"] + snap["dp_bytes_packet"]
+                == snap["dp_bytes_total"])
+        assert snap["jobs_completed"] == snap["jobs_submitted"]
+
+    def test_fluid_loss_counts_triggers_but_never_promotes(self):
+        # Random loss is below the fluid model's resolution: the trigger
+        # is counted (start and end of the injection) and nothing else.
+        snap = _lossy_churn("fluid")
+        assert snap["loss_injections"] == 1
+        assert snap["fidelity_promotions"] == 0
+        assert snap["dp_bytes_packet"] == 0
+        assert snap["fidelity_triggers"] == 2
+        assert snap["jobs_completed"] == snap["jobs_submitted"]

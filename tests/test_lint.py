@@ -95,11 +95,13 @@ class TestDWallclock:
             "import datetime\n\ndef f():\n    return datetime.datetime.now()\n"
         )
 
-    def test_obs_package_is_exempt(self):
-        assert rules_fired(
+    def test_obs_package_is_not_exempt(self):
+        # Traces and digests describe simulated behaviour only, so the
+        # observability layer gets no wall-clock exemption.
+        assert "D-wallclock" in rules_fired(
             "import time\n\ndef f():\n    return time.perf_counter()\n",
             path="src/repro/obs/profiler.py",
-        ) == set()
+        )
 
     def test_perf_package_is_not_exempt(self):
         # Benchmark timing lives outside src/ (simbench); a perf module
@@ -111,8 +113,8 @@ class TestDWallclock:
         )
 
     def test_exemption_does_not_leak_to_other_layers(self):
-        # repro.obs being sanctioned must not loosen the rule anywhere
-        # else: the same snippet still fires across the domain layers.
+        # repro.runner.pool being sanctioned must not loosen the rule
+        # anywhere else: the same snippet still fires across the layers.
         snippet = "import time\n\ndef f():\n    return time.perf_counter()\n"
         for path in (
             "src/repro/net/snippet.py",

@@ -168,11 +168,12 @@ class TestTwoHopAcceptance:
         assert lint_sources(files).clean
 
     def test_wallclock_allowlist_produces_no_taint(self):
-        # The same two-hop shape, but the leaf lives in repro.obs — the
-        # sanctioned self-profiling package — so there is no taint at all.
+        # The same two-hop shape, but the leaf lives under
+        # repro.runner.pool — the sanctioned timing package — so there is
+        # no taint at all.
         files = dict(TWO_HOP)
         del files["src/repro/net/wl_gamma.py"]
-        files["src/repro/obs/wl_gamma.py"] = textwrap.dedent("""\
+        files["src/repro/runner/pool/wl_gamma.py"] = textwrap.dedent("""\
             import time
 
 
@@ -181,7 +182,7 @@ class TestTwoHopAcceptance:
             """)
         files["src/repro/analysis/wl_beta.py"] = files[
             "src/repro/analysis/wl_beta.py"
-        ].replace("repro.net.wl_gamma", "repro.obs.wl_gamma")
+        ].replace("repro.net.wl_gamma", "repro.runner.pool.wl_gamma")
         assert lint_sources(files).clean
 
 

@@ -102,18 +102,9 @@ class TestSpans:
 
 
 class TestSelfProfile:
-    def test_record_callback_aggregates_wall_time(self):
-        tracer = Tracer()
-        tracer.record_callback(1e-6, "tick", 0.5)
-        tracer.record_callback(2e-6, "tick", 0.25)
-        tracer.record_callback(3e-6, "tock", 0.125)
-        profile = tracer.self_profile()
-        assert profile["tick"] == (2, 0.75)
-        assert profile["tock"] == (1, 0.125)
-
     def test_queue_depth_emits_counter(self):
         tracer = Tracer()
-        tracer.record_callback(1e-6, "tick", 0.0, queue_depth=5)
+        tracer.record_callback(1e-6, "tick", queue_depth=5)
         counter = [e for e in tracer.events if e.ph == "C"]
         assert len(counter) == 1
         assert counter[0].args == {"events": 5}
@@ -167,10 +158,9 @@ class TestChromeExport:
     def test_clear_resets(self):
         tracer = Tracer()
         tracer.instant("x", 0.0)
-        tracer.record_callback(0.0, "f", 0.0)
+        tracer.record_callback(0.0, "f")
         tracer.clear()
         assert len(tracer) == 0
-        assert tracer.self_profile() == {}
 
 
 class TestDisabledTracing:
@@ -183,9 +173,8 @@ class TestDisabledTracing:
         null.async_begin("x", 1, 0.0)
         null.async_end("x", 1, 0.0)
         null.counter("x", 0.0, {"v": 1})
-        null.record_callback(0.0, "f", 0.0)
+        null.record_callback(0.0, "f")
         assert len(null) == 0
-        assert null.self_profile() == {}
         assert null.to_chrome() == {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def test_scheduler_normalizes_disabled_tracer_to_none(self):

@@ -53,6 +53,16 @@ class TestBuilders:
         cells = {k.rpartition("/")[0] for k in keys}
         for cell in cells:
             assert "%s/run0" % cell in keys and "%s/run1" % cell in keys
+        # Probe, fleet smoke and fleet churn, each at seeds 17 and 23
+        # (hybrid-smoke carries the hybrid cells).
+        assert cells == {
+            "determinism/%s/seed%d" % (scenario, seed)
+            for scenario in ("probe", "fleet", "fleet-churn")
+            for seed in (17, 23)
+        }
+        churn = [s for s in build_determinism()
+                 if s.key.startswith("determinism/fleet-churn/")]
+        assert all(s.kwargs["scenario"] == "churn" for s in churn)
 
 
 class TestDeterminismCheck:
@@ -83,6 +93,17 @@ class TestDeterminismCheck:
                 + self._cell("determinism/fleet/seed23", "aa"))
         problems = check_determinism(_report(rows))
         assert len(problems) == 1 and "seed" in problems[0]
+
+    def test_seed_check_is_per_scenario(self):
+        # Distinct churn seeds must not hide a smoke scenario that
+        # ignores its seed.
+        rows = (self._cell("determinism/fleet/seed17", "aa")
+                + self._cell("determinism/fleet/seed23", "aa")
+                + self._cell("determinism/fleet-churn/seed17", "bb")
+                + self._cell("determinism/fleet-churn/seed23", "cc"))
+        problems = check_determinism(_report(rows))
+        assert len(problems) == 1
+        assert problems[0].startswith("determinism/fleet:")
 
 
 class TestCli:

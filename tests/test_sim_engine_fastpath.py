@@ -51,7 +51,7 @@ class TestCancellationHeavy:
         class _Tracer:
             enabled = True
 
-            def record_callback(self, ts, name, wall, queue_depth=None):
+            def record_callback(self, ts, name, queue_depth=None):
                 pass
 
         def drive(sched):
