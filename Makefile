@@ -93,8 +93,12 @@ traces-smoke:
 tour:
 	$(PYTHON) -m repro
 
+# Run every example; stop at the first one that fails.
 examples:
-	@for ex in examples/*.py; do echo "== $$ex =="; $(PYTHON) $$ex; done
+	@for ex in examples/*.py; do \
+		echo "== $$ex =="; \
+		PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) $$ex || exit 1; \
+	done
 
 all: test bench
 

@@ -78,7 +78,6 @@ class FidelityController:
         mode=Fidelity.FLUID,
         window_seconds=DEFAULT_WINDOW_SECONDS,
         hysteresis_seconds=DEFAULT_HYSTERESIS_SECONDS,
-        admission_burst_depth=DEFAULT_ADMISSION_BURST_DEPTH,
     ):
         self.mode = Fidelity(mode)
         if window_seconds <= 0:
@@ -87,7 +86,6 @@ class FidelityController:
             raise ValueError("hysteresis_seconds must be non-negative")
         self.window_seconds = float(window_seconds)
         self.hysteresis_seconds = float(hysteresis_seconds)
-        self.admission_burst_depth = int(admission_burst_depth)
         #: Closed windows: ``(start, last-trigger end, demoted-at)``.
         self.windows = []
         self.promotions = 0

@@ -33,7 +33,11 @@ digest-identical at every fidelity.
 from functools import partial
 
 from repro import calibration
-from repro.cluster.fidelity import Fidelity, FidelityController
+from repro.cluster.fidelity import (
+    DEFAULT_ADMISSION_BURST_DEPTH,
+    Fidelity,
+    FidelityController,
+)
 from repro.cluster.host import FleetHost
 from repro.cluster.job import Job, JobState
 from repro.cluster.scheduler import FleetScheduler, PlacementPolicy
@@ -41,6 +45,7 @@ from repro.collectives.allreduce import RingAllReduceTask
 from repro.core.spray import make_selector
 from repro.net.failure import effective_loss_rate, pick_victim_uplink
 from repro.net.fluid_sim import FluidSimulation
+from repro.net.loadmodel import PACKET_BYTES
 from repro.net.packet_sim import MessageFlow, PacketNetSim
 from repro.net.topology import ServerAddress
 from repro.rnic.cc import WindowCC
@@ -57,7 +62,7 @@ from repro.sim.units import GB, usec
 from repro.training.comms import comm_volumes
 from repro.training.models import MODELS
 from repro.training.trainer import (
-    CostModelConfig,
+    INTRA_SERVER_DP_BANDWIDTH,
     TRANSPORTS,
     TrainingSimulation,
 )
@@ -71,13 +76,26 @@ CONNECTION_STRIDE = 4096
 #: flow completely, and iteration times must stay finite.
 _MIN_DP_BANDWIDTH = 1e7
 
+#: Training iterations per scheduled block: a job's rate is sampled,
+#: logged and charged once per block.
+_BLOCK_ITERATIONS = 5
+
+#: Congestion-epoch fluid solves: each running job's DP ring moves
+#: ``_RING_BYTES`` per all-reduce, and the solver steps ``_CONGESTION_DT``
+#: for ``_CONGESTION_SECONDS`` of simulated time.
+_RING_BYTES = int(1 * GB)
+_CONGESTION_DT = 0.005
+_CONGESTION_SECONDS = 0.03
+
 #: Background-load modelling constants, mirroring the
 #: ``StaticLoadModel.add_flow`` call _background_rates reproduces:
-#: a 1-second pricing window, the model's default packet size, and the
-#: 64-draw cap each background flow was sprayed with.
+#: 10 Gbit/s of storage/checkpoint traffic per host over a 1-second
+#: pricing window, sprayed with a 64-draw cap per flow.
 _BG_DURATION = 1.0
-_BG_PACKET_BYTES = 4096
 _BG_MAX_DRAWS = 64
+_BG_TOTAL_BYTES = 10.0 * 1e9 / 8 * _BG_DURATION
+_BG_DRAWS = min(max(1, int(_BG_TOTAL_BYTES // PACKET_BYTES)), _BG_MAX_DRAWS)
+_BG_BYTES_PER_DRAW = _BG_TOTAL_BYTES / _BG_DRAWS
 
 #: Packet-window pricing knobs (hybrid/packet fidelities).  One promoted
 #: epoch drives every running multi-host job's rail-0 DP ring through a
@@ -185,12 +203,7 @@ class FleetSimulation:
         seed=0,
         tracer=None,
         host_config=None,
-        block_iterations=5,
         sample_pages=256,
-        background_gbps_per_host=10.0,
-        ring_bytes=int(1 * GB),
-        congestion_dt=0.005,
-        congestion_seconds=0.03,
         flight=None,
         trace_recorder=None,
         fidelity="fluid",
@@ -224,12 +237,7 @@ class FleetSimulation:
                     self._on_host_churn, host.name
                 )
         self.trainer = TrainingSimulation(topology, seed=seed)
-        self.block_iterations = block_iterations
         self.sample_pages = sample_pages
-        self.background_gbps_per_host = background_gbps_per_host
-        self.ring_bytes = ring_bytes
-        self.congestion_dt = congestion_dt
-        self.congestion_seconds = congestion_seconds
         #: How congestion epochs are priced: ``"fluid"`` (default — the
         #: vectorized solver everywhere, digests unchanged), ``"packet"``
         #: (packet-level DES everywhere, the costly reference), or
@@ -273,7 +281,6 @@ class FleetSimulation:
         self._bg_counts = {}
         self._bg_partial_sums = [0.0]
         self._penalty_cache = {}
-        self._dp_volume_cache = {}
 
     # -- workload intake ---------------------------------------------------
 
@@ -352,7 +359,7 @@ class FleetSimulation:
             self._record("admission-queue", entity="job:%s" % spec.name,
                          severity="warn", tenant=spec.tenant,
                          queue_depth=len(self.scheduler.queue))
-            if len(self.scheduler.queue) >= self.fidelity.admission_burst_depth:
+            if len(self.scheduler.queue) >= DEFAULT_ADMISSION_BURST_DEPTH:
                 self._fidelity_trigger("admission-burst",
                                        entity="job:%s" % spec.name)
         else:
@@ -363,6 +370,9 @@ class FleetSimulation:
         job.state = JobState.STARTING
         job.start_time = self.engine.now
         job.hosts = ring
+        job.dp_volume = int(comm_volumes(
+            MODELS[spec.model], spec.strategy, spec.framework
+        ).dp)
         self._starting += 1
         for entry in self.scheduler.host_totals(spec, ring).values():
             entry["host"].reserve(
@@ -427,7 +437,7 @@ class FleetSimulation:
     def _iterate(self, job):
         if job.state is not JobState.RUNNING:
             return
-        block = min(self.block_iterations,
+        block = min(_BLOCK_ITERATIONS,
                     job.spec.iterations - job.iterations_done)
         seconds = job.iter_seconds
         job.iteration_log.append(
@@ -448,14 +458,14 @@ class FleetSimulation:
         if self.trace_recorder is not None:
             self.trace_recorder.on_iteration_block(
                 now, job.spec.name, job.spec.strategy.dp, block,
-                seconds, job.dp_seconds or 0.0, self._dp_volume(job),
+                seconds, job.dp_seconds or 0.0, job.dp_volume,
             )
         # Cross-fidelity byte ledger: attribute the block's DP-allreduce
         # traffic, at block start, to the regime that priced it.  Exact
         # integer accounting — fluid + packet must equal total per job
         # and fleet-wide (SimSanitizer's conservation check).
         if len(job.unique_hosts()) >= 2:
-            volume = block * self._dp_volume(job)
+            volume = block * job.dp_volume
             job.dp_bytes_total += volume
             self.dp_bytes_total += volume
             if job.rate_fidelity == "packet":
@@ -671,9 +681,6 @@ class FleetSimulation:
         if counts is not None:
             return counts
         counts = {}
-        total_bytes = self.background_gbps_per_host * 1e9 / 8 * _BG_DURATION
-        draws = min(max(1, int(total_bytes // _BG_PACKET_BYTES)),
-                    _BG_MAX_DRAWS)
         for k, host in enumerate(job.unique_hosts()):
             src = host.address
             if self.topology.segments > 1:
@@ -692,7 +699,7 @@ class FleetSimulation:
                 rng=RngStream(self.seed, "bg", job.spec.name, str(k)),
             )
             connection_id = 1_000_000 + job.index * 64 + k
-            for _ in range(draws):
+            for _ in range(_BG_DRAWS):
                 path_id = selector.next_path()
                 route = self.topology.route(
                     src, dst, 0, path_id=path_id, connection_id=connection_id
@@ -707,10 +714,10 @@ class FleetSimulation:
 
         Numerically identical to spraying every running job's flows
         through one shared :class:`StaticLoadModel`: each (draw, route
-        link) there adds the same ``bytes_per_draw`` constant, and a
+        link) there adds the same ``_BG_BYTES_PER_DRAW`` constant, and a
         float slot's value depends only on its own addition sequence, so
         a link's accumulated load is exactly the repeated sum
-        ``S(n) = S(n-1) + bytes_per_draw`` evaluated at its combined
+        ``S(n) = S(n-1) + _BG_BYTES_PER_DRAW`` evaluated at its combined
         (integer, exact) draw count.  The partial-sum table is grown once
         per fleet, which turns each epoch's background pricing into dict
         merges instead of hundreds of re-sprayed flows.
@@ -723,14 +730,10 @@ class FleetSimulation:
                 totals[link] = totals.get(link, 0) + count
         if not totals:
             return {}
-        total_bytes = self.background_gbps_per_host * 1e9 / 8 * _BG_DURATION
-        draws = min(max(1, int(total_bytes // _BG_PACKET_BYTES)),
-                    _BG_MAX_DRAWS)
-        bytes_per_draw = total_bytes / draws
         sums = self._bg_partial_sums
         deepest = max(totals.values())
         while len(sums) <= deepest:
-            sums.append(sums[-1] + bytes_per_draw)
+            sums.append(sums[-1] + _BG_BYTES_PER_DRAW)
         return {
             link: sums[count] * 8.0 / _BG_DURATION
             for link, count in totals.items()
@@ -742,7 +745,7 @@ class FleetSimulation:
         task = RingAllReduceTask(
             "ring-%s" % job.spec.name,
             servers,
-            data_bytes=self.ring_bytes,
+            data_bytes=_RING_BYTES,
             rails=self.topology.rails,
             algorithm=transport.algorithm,
             path_count=transport.path_count,
@@ -756,16 +759,6 @@ class FleetSimulation:
         per_host_gpus = max(1.0, job.spec.gpus / len(job.unique_hosts()))
         per_gpu = task.bus_bandwidth_bytes() * self.topology.rails / per_host_gpus
         return max(per_gpu * self.failure_penalty(job), _MIN_DP_BANDWIDTH)
-
-    def _dp_volume(self, job):
-        """Per-rank DP-allreduce bytes (memoized; read every block)."""
-        volume = self._dp_volume_cache.get(job.index)
-        if volume is None:
-            volume = int(comm_volumes(
-                MODELS[job.spec.model], job.spec.strategy, job.spec.framework
-            ).dp)
-            self._dp_volume_cache[job.index] = volume
-        return volume
 
     def _iteration_breakdown(self, job, dp_bandwidth):
         return self.trainer.train(
@@ -787,14 +780,14 @@ class FleetSimulation:
         if len(job.unique_hosts()) < 2:
             # Single-host ring: NVLink-assisted DP, no fabric traffic.
             breakdown = self._iteration_breakdown(
-                job, CostModelConfig().intra_server_dp_bandwidth
+                job, INTRA_SERVER_DP_BANDWIDTH
             )
             job.iso_dp_seconds = breakdown.dp
             return breakdown.total
-        sim = FluidSimulation(self.topology, dt=self.congestion_dt,
+        sim = FluidSimulation(self.topology, dt=_CONGESTION_DT,
                               seed=self.seed, plan_cache=self._plan_cache)
         task = self._launch_ring(job, sim)
-        sim.run(duration=self.congestion_seconds)
+        sim.run(duration=_CONGESTION_SECONDS)
         per_host_gpus = max(1.0, job.spec.gpus / len(job.unique_hosts()))
         per_gpu = max(
             task.bus_bandwidth_bytes() * self.topology.rails / per_host_gpus,
@@ -851,12 +844,12 @@ class FleetSimulation:
         contended = ContendedTopology(
             self.topology, self._background_rates(running)
         )
-        sim = FluidSimulation(contended, dt=self.congestion_dt,
+        sim = FluidSimulation(contended, dt=_CONGESTION_DT,
                               seed=self.seed, plan_cache=self._plan_cache)
         tasks = []
         for job in multi:
             tasks.append((job, self._launch_ring(job, sim)))
-        sim.run(duration=self.congestion_seconds)
+        sim.run(duration=_CONGESTION_SECONDS)
         values = {}
         for job, task in tasks:
             per_gpu = self._per_gpu_bandwidth(job, task)

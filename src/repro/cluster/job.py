@@ -114,6 +114,7 @@ class Job:
         self.iso_iter_seconds = None # measured alone on a clean fabric
         self.dp_seconds = None       # DP-allreduce share of iter_seconds
         self.iso_dp_seconds = None   # DP share of the isolated baseline
+        self.dp_volume = None        # per-rank DP-allreduce bytes/iteration
         self.abort_event = None
         #: Which engine priced the current iter_seconds ("fluid" or
         #: "packet"), and the DP-allreduce byte ledger split by regime.

@@ -176,7 +176,6 @@ class StellarRnic(BaseRnic):
     """The physical 400G Stellar RNIC: eMTT datapath + vDevice factory."""
 
     def __init__(self, name, fabric, function,
-                 max_vdevices=calibration.STELLAR_MAX_VDEVICES,
                  ports=calibration.RNIC_PORTS,
                  port_rate=calibration.RNIC_PORT_RATE):
         super().__init__(
@@ -187,7 +186,7 @@ class StellarRnic(BaseRnic):
             ports=ports,
             port_rate=port_rate,
         )
-        self.max_vdevices = max_vdevices
+        self.max_vdevices = calibration.STELLAR_MAX_VDEVICES
         self.vdevices = {}
         self._pasids = itertools.count(1)
         self._doorbell_cursor = 0

@@ -14,6 +14,9 @@ from repro.rnic.vswitch import FlowRule, TrafficClass, VSwitch
 from repro.sim.units import GiB
 from repro.virt.sriov import SriovError
 
+#: TCP rules installed ahead of the RDMA rule in problem 5a.
+_CONTENDING_TCP_RULES = 512
+
 
 class Evidence:
     """What happened when the problem was staged."""
@@ -111,10 +114,10 @@ def problem_4_conflicting_fabric_settings():
     )
 
 
-def problem_5a_rule_order_interference(tcp_rules=512):
+def problem_5a_rule_order_interference():
     """TCP rules installed ahead of RDMA rules inflate RDMA lookup time."""
     contended = VSwitch()
-    for i in range(tcp_rules):
+    for i in range(_CONTENDING_TCP_RULES):
         contended.install(
             FlowRule(TrafficClass.TCP, {"proto": "tcp", "dport": i}, "to-vf")
         )
@@ -129,7 +132,7 @@ def problem_5a_rule_order_interference(tcp_rules=512):
         "5a",
         slow > 10 * fast,
         "RDMA lookup behind %d TCP rules: %.0fns vs %.0fns isolated"
-        % (tcp_rules, slow * 1e9, fast * 1e9),
+        % (_CONTENDING_TCP_RULES, slow * 1e9, fast * 1e9),
     )
 
 

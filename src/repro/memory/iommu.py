@@ -141,8 +141,9 @@ class Iommu:
         self.total_config_seconds += cost
         return cost
 
-    def unmap(self, domain_name, da, length, unpin=True):
-        """Remove mappings; invalidates the affected IOTLB entries."""
+    def unmap(self, domain_name, da, length):
+        """Remove mappings and unpin them; invalidates the affected IOTLB
+        entries."""
         domain = self.domain(domain_name)
         interval = domain.table.lookup(da)
         hpa = interval.translate(da) if interval else None
@@ -153,7 +154,7 @@ class Iommu:
         self.iotlb.invalidate_where(
             lambda key: key[0] == domain_name and lo <= key[1] < hi
         )
-        if unpin and hpa is not None:
+        if hpa is not None:
             domain.pins.unpin(hpa, length)
 
     def is_mapped(self, domain_name, da):

@@ -4,8 +4,8 @@ VFIO-style passthrough requires the hypervisor to pin *all* guest memory
 before any RDMA can run (Section 3.1 problem 2): "Pinning a container with
 1.6 TB of memory typically takes 390 seconds."  PVDMA (Section 5) instead
 pins 2 MiB blocks on demand.  Both paths go through :class:`PinManager`,
-which charges time per pinned byte plus a fixed per-call overhead and
-tracks refcounts per block so overlapping registrations unpin correctly.
+which charges time per pinned byte and tracks refcounts per block so
+overlapping registrations unpin correctly.
 """
 
 from repro import calibration
@@ -22,23 +22,16 @@ class PinManager:
     Granularity is configurable: full-pin VFIO uses the same machinery with
     huge ranges; PVDMA uses 2 MiB blocks.  Pin cost model::
 
-        cost = new_blocks * (per_call_overhead + block_bytes * seconds_per_byte)
+        cost = new_blocks * block_bytes * calibration.PIN_SECONDS_PER_BYTE
 
     Already-pinned blocks only bump a refcount and cost nothing, which is
     what makes PVDMA's Map Cache effective.
     """
 
-    def __init__(
-        self,
-        block_size=calibration.PVDMA_BLOCK_BYTES,
-        seconds_per_byte=calibration.PIN_SECONDS_PER_BYTE,
-        per_call_seconds=0.0,
-    ):
+    def __init__(self, block_size=calibration.PVDMA_BLOCK_BYTES):
         if block_size <= 0 or block_size & (block_size - 1):
             raise PinError("block size must be a power of two: %r" % block_size)
         self.block_size = block_size
-        self.seconds_per_byte = seconds_per_byte
-        self.per_call_seconds = per_call_seconds
         self._refcounts = {}  # block base -> refcount
         self.total_pin_seconds = 0.0
         self.pin_calls = 0
@@ -60,9 +53,7 @@ class PinManager:
                 new_blocks += 1
             self._refcounts[block] = count + 1
         self.pin_calls += 1
-        cost = new_blocks * (
-            self.per_call_seconds + self.block_size * self.seconds_per_byte
-        )
+        cost = new_blocks * (self.block_size * calibration.PIN_SECONDS_PER_BYTE)
         self.total_pin_seconds += cost
         return cost
 

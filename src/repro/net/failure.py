@@ -45,9 +45,10 @@ class FailureScenario:
         self.sim.scheduler.schedule_at(up_at, lambda: self.heal_link(link))
 
 
-def pick_victim_uplink(topology, segment=0, rail=0, plane=0, agg=0):
-    """A deterministic ToR uplink to injure (tests/benches need stability)."""
-    return topology.tor_up(segment, rail, plane, agg)
+def pick_victim_uplink(topology):
+    """A deterministic ToR uplink to injure (tests/benches need stability):
+    segment 0, rail 0, plane 0, aggregation switch 0."""
+    return topology.tor_up(0, 0, 0, 0)
 
 
 def effective_loss_rate(link_loss_probability, path_count,

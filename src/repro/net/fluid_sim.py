@@ -69,9 +69,8 @@ def _splitmix64_vec(values):
 class FluidFlow:
     """One long-lived transfer between two servers on one rail.
 
-    Constructed standalone the flow owns its own scalars; once attached
-    to a :class:`FluidSimulation` (via ``add_flow``) the mutable state
-    moves into the simulation's arrays and the attributes below become
+    Built only by :meth:`FluidSimulation.add_flow`, which keeps the
+    mutable state in the simulation's arrays; the attributes below are
     views — reading ``flow.transferred`` reads the array slot.
     """
 
@@ -89,7 +88,6 @@ class FluidFlow:
         on_seconds=None,
         off_seconds=None,
         rng=None,
-        transferred=0.0,
     ):
         self.flow_id = flow_id
         self.src = src
@@ -119,63 +117,24 @@ class FluidFlow:
         self._path_link_ids = {}
         self._sim = None
         self._idx = None
-        # Standalone state, authoritative until _attach() migrates it.
-        # ``transferred`` may start non-zero: the hybrid-fidelity engine
-        # re-seeds a fluid flow with packet-measured progress when a
-        # promoted window demotes mid-message.
-        self._transferred = float(transferred)
-        self._finish_time = None
-        self._rate_sum = 0.0
-        self._rate_count = 0.0
 
     # -- array-backed state views ---------------------------------------
 
     @property
     def transferred(self):
-        if self._sim is None:
-            return self._transferred
         return float(self._sim._arr_transferred[self._idx])
-
-    @transferred.setter
-    def transferred(self, value):
-        if self._sim is None:
-            self._transferred = value
-        else:
-            self._sim._arr_transferred[self._idx] = value
 
     @property
     def finish_time(self):
-        if self._sim is None:
-            return self._finish_time
         value = self._sim._arr_finish[self._idx]
         return None if np.isnan(value) else float(value)
-
-    @finish_time.setter
-    def finish_time(self, value):
-        if self._sim is None:
-            self._finish_time = value
-        else:
-            self._sim._arr_finish[self._idx] = (
-                np.nan if value is None else value
-            )
 
     @property
     def done(self):
         return self.total_bytes is not None and self.transferred >= self.total_bytes
 
-    def active(self, now):
-        if now < self.start_time or self.done:
-            return False
-        if self.on_seconds is None:
-            return True
-        period = self.on_seconds + (self.off_seconds or 0.0)
-        return (now - self.start_time) % period < self.on_seconds
-
     def mean_rate(self):
         """Average achieved rate over active steps, bits/second."""
-        if self._sim is None:
-            count = self._rate_count
-            return self._rate_sum / count if count else 0.0
         count = self._sim._arr_rate_count[self._idx]
         if not count:
             return 0.0
@@ -267,7 +226,7 @@ class FluidSimulation:
         idx = self._n
         self._ensure_capacity(idx + 1)
         self._n = idx + 1
-        self._arr_transferred[idx] = flow._transferred
+        self._arr_transferred[idx] = 0.0
         self._arr_total[idx] = (
             np.inf if flow.total_bytes is None else flow.total_bytes
         )
@@ -278,11 +237,9 @@ class FluidSimulation:
         else:
             self._arr_on[idx] = flow.on_seconds
             self._arr_period[idx] = flow.on_seconds + (flow.off_seconds or 0.0)
-        self._arr_finish[idx] = (
-            np.nan if flow._finish_time is None else flow._finish_time
-        )
-        self._arr_rate_sum[idx] = flow._rate_sum
-        self._arr_rate_count[idx] = flow._rate_count
+        self._arr_finish[idx] = np.nan
+        self._arr_rate_sum[idx] = 0.0
+        self._arr_rate_count[idx] = 0.0
         self._arr_static[idx] = flow._static
         self._arr_has_plan[idx] = False
         flow._sim = self

@@ -11,6 +11,9 @@ import collections
 
 from repro.sim.rng import RngStream
 
+#: Bytes per sprayed packet: the selector is consulted once per packet.
+PACKET_BYTES = 4096
+
 
 class PortLoads:
     """Accumulated byte loads per directed link."""
@@ -37,10 +40,9 @@ class PortLoads:
 class StaticLoadModel:
     """Distributes flow traffic across paths via the real selectors."""
 
-    def __init__(self, topology, seed=0, packet_bytes=4096):
+    def __init__(self, topology, seed=0):
         self.topology = topology
         self.seed = seed
-        self.packet_bytes = packet_bytes
         self.loads = PortLoads(topology)
         self._rng = RngStream(seed, "loadmodel")
 
@@ -60,7 +62,7 @@ class StaticLoadModel:
         packets than ``max_draws``, draws are scaled up so huge transfers
         stay cheap to model without changing the distribution.
         """
-        packets = max(1, int(total_bytes // self.packet_bytes))
+        packets = max(1, int(total_bytes // PACKET_BYTES))
         draws = min(packets, max_draws)
         bytes_per_draw = total_bytes / draws
         for _ in range(draws):

@@ -21,6 +21,9 @@ CI gates on this via ``tests/test_determinism.py``.
 import hashlib
 import json
 
+#: Mismatching metric keys a determinism report lists before it stops.
+_MAX_MISMATCHES = 10
+
 
 def canonical_trace_events(tracer):
     """The tracer's Chrome records, callback spans without their ``dur``.
@@ -144,7 +147,7 @@ class DeterminismReport:
         )
 
 
-def _diff_fingerprints(fingerprints, max_mismatches):
+def _diff_fingerprints(fingerprints):
     """Diff N same-seed fingerprints into a :class:`DeterminismReport`."""
     reference = fingerprints[0]
     mismatches = []
@@ -159,7 +162,7 @@ def _diff_fingerprints(fingerprints, max_mismatches):
         values = [fp.metrics.get(key) for fp in fingerprints]
         if any(value != values[0] for value in values[1:]):
             mismatches.append((key, values))
-            if len(mismatches) >= max_mismatches:
+            if len(mismatches) >= _MAX_MISMATCHES:
                 break
     trace_match = all(
         fp.trace_digest == reference.trace_digest for fp in fingerprints
@@ -171,11 +174,11 @@ def _diff_fingerprints(fingerprints, max_mismatches):
                              flight_match)
 
 
-def check_determinism(seed=17, runs=2, max_mismatches=10, **probe_kwargs):
+def check_determinism(seed=17, runs=2, **probe_kwargs):
     """Run the seeded probe ``runs`` times and diff the fingerprints.
 
     Returns a :class:`DeterminismReport`; ``report.ok`` is the CI gate.
-    Mismatching metric keys (up to ``max_mismatches``) are listed with
+    Mismatching metric keys (up to ten) are listed with
     their per-run values so a regression points straight at the counter
     family that diverged.
     """
@@ -184,7 +187,7 @@ def check_determinism(seed=17, runs=2, max_mismatches=10, **probe_kwargs):
     fingerprints = [
         probe_fingerprint(seed=seed, **probe_kwargs) for _ in range(runs)
     ]
-    return _diff_fingerprints(fingerprints, max_mismatches)
+    return _diff_fingerprints(fingerprints)
 
 
 def fleet_fingerprint(seed=17, scenario="churn"):
@@ -257,8 +260,7 @@ class FleetDeterminismReport:  # simlint: ok L-api-drift
         )
 
 
-def check_fleet_determinism(seeds=(17, 23), runs=2, max_mismatches=10,
-                            scenario="churn"):
+def check_fleet_determinism(seeds=(17, 23), runs=2, scenario="churn"):
     """Fleet determinism gate: each seed reproduces, seeds differ.
 
     Runs the scenario ``runs`` times per seed, diffing metrics + trace
@@ -274,7 +276,7 @@ def check_fleet_determinism(seeds=(17, 23), runs=2, max_mismatches=10,
             fleet_fingerprint(seed=seed, scenario=scenario)
             for _ in range(runs)
         ]
-        reports[seed] = _diff_fingerprints(fingerprints, max_mismatches)
+        reports[seed] = _diff_fingerprints(fingerprints)
         first_digests.append(fingerprints[0].trace_digest)
     cross_seed_distinct = len(set(first_digests)) == len(first_digests)
     return FleetDeterminismReport(reports, cross_seed_distinct)

@@ -180,17 +180,14 @@ class SloPolicy:
         return "SloPolicy(%s)" % parts
 
 
-def default_job_policy(iso_iter_seconds,
-                       goodput_fraction=_SLO_GOODPUT_FRACTION,
-                       latency_multiple=SLO_LATENCY_MULTIPLE,
-                       wait_budget=_SLO_WAIT_BUDGET_SECONDS):
+def default_job_policy(iso_iter_seconds):
     """A job policy anchored on its isolated per-iteration baseline."""
     if iso_iter_seconds is None or iso_iter_seconds <= 0:
-        return SloPolicy(admission_wait_budget=wait_budget)
+        return SloPolicy(admission_wait_budget=_SLO_WAIT_BUDGET_SECONDS)
     return SloPolicy(
-        goodput_floor=goodput_fraction / iso_iter_seconds,
-        latency_p99_ceiling=latency_multiple * iso_iter_seconds,
-        admission_wait_budget=wait_budget,
+        goodput_floor=_SLO_GOODPUT_FRACTION / iso_iter_seconds,
+        latency_p99_ceiling=SLO_LATENCY_MULTIPLE * iso_iter_seconds,
+        admission_wait_budget=_SLO_WAIT_BUDGET_SECONDS,
     )
 
 

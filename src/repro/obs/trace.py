@@ -9,7 +9,6 @@ When tracing is off, components hold ``tracer = None`` (or the shared
 :data:`NULL_TRACER`) and hot paths pay a single ``is not None`` test.
 """
 
-import json
 from functools import partial
 
 
@@ -175,12 +174,6 @@ class Tracer:
             event.to_dict() for event in sorted(self.events, key=lambda e: e.ts)
         )
         return {"traceEvents": records, "displayTimeUnit": "ms"}
-
-    def export(self, path):
-        """Write the Chrome trace JSON; returns the event count."""
-        with open(path, "w") as handle:
-            json.dump(self.to_chrome(), handle)
-        return len(self.events)
 
     def clear(self):
         self.events = []

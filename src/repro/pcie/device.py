@@ -7,6 +7,9 @@ the host-physical address map.  GPUs additionally expose an HBM aperture
 
 from repro.memory.address import AddressSpace, MemoryKind, MemoryRegion
 
+#: Size of a GPU's register BAR.
+_GPU_REGISTER_BYTES = 16 << 20
+
 
 class PcieError(Exception):
     """Base class for PCIe fabric failures."""
@@ -63,13 +66,14 @@ class GpuDevice(PcieFunction):
         self.register_bar = None
         self.dma_reads = 0
 
-    def install_bars(self, hpa_map, register_bytes=16 << 20):
+    def install_bars(self, hpa_map):
         """Allocate the HBM aperture and register window from the HPA map."""
         self.hbm_bar = self.add_bar(
             hpa_map.allocate(self.hbm_bytes, MemoryKind.GPU_HBM, alignment=1 << 20)
         )
         self.register_bar = self.add_bar(
-            hpa_map.allocate(register_bytes, MemoryKind.DEVICE_MMIO, alignment=4096)
+            hpa_map.allocate(_GPU_REGISTER_BYTES, MemoryKind.DEVICE_MMIO,
+                             alignment=4096)
         )
         return self.hbm_bar
 

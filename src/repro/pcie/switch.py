@@ -6,9 +6,10 @@ Two paper mechanisms live here:
   switch LUT before the switch will route its peer-to-peer traffic; on one
   production server model the LUT holds only 32 BDFs, so dense VF
   deployments cannot all enable GDR.
-* **ACS Direct Translated P2P (Figure 7)** — with ACS DT enabled, a TLP
-  whose AT field says ``TRANSLATED`` is routed straight to the peer BAR;
-  untranslated TLPs are redirected upstream to the root complex.
+* **ACS Direct Translated P2P (Figure 7)** — every switch runs with ACS DT
+  enabled: a TLP whose AT field says ``TRANSLATED`` is routed straight to
+  the peer BAR; untranslated TLPs are redirected upstream to the root
+  complex.
 """
 
 from repro import calibration
@@ -25,15 +26,9 @@ class LutCapacityError(PcieError):
 class PcieSwitch:
     """A PCIe switch: downstream functions, a LUT, and ACS settings."""
 
-    def __init__(
-        self,
-        name,
-        lut_capacity=calibration.PCIE_SWITCH_LUT_CAPACITY,
-        acs_direct_translated=True,
-    ):
+    def __init__(self, name, lut_capacity=calibration.PCIE_SWITCH_LUT_CAPACITY):
         self.name = name
         self.lut_capacity = lut_capacity
-        self.acs_direct_translated = acs_direct_translated
         self.upstream = None  # RootComplex or parent switch
         self._functions = {}  # bdf -> PcieFunction
         self._lut = set()
@@ -111,22 +106,18 @@ class PcieSwitch:
         path.append(self.name)
         latency += PCIE_HOP_SECONDS
         claimant = self.find_claimant(tlp.address, tlp.length)
-        if claimant is not None:
-            p2p_allowed = tlp.is_translated and self.acs_direct_translated
-            if not tlp.is_translated:
-                # Untranslated P2P would bypass the IOMMU; ACS forces it up.
-                p2p_allowed = False
-            if p2p_allowed and not self.lut_contains(tlp.requester):
+        # Untranslated P2P would bypass the IOMMU; ACS forces it up.
+        if claimant is not None and tlp.is_translated:
+            if not self.lut_contains(tlp.requester):
                 raise PcieError(
                     "requester %s not in %s LUT; P2P routing unavailable"
                     % (tlp.requester, self.name)
                 )
-            if p2p_allowed:
-                self.p2p_tlps += 1
-                path.append(claimant.name)
-                latency += PCIE_HOP_SECONDS
-                claimant.on_tlp(tlp)
-                return claimant, path, latency
+            self.p2p_tlps += 1
+            path.append(claimant.name)
+            latency += PCIE_HOP_SECONDS
+            claimant.on_tlp(tlp)
+            return claimant, path, latency
         self.upstream_tlps += 1
         return None, path, latency
 

@@ -15,17 +15,16 @@ from repro.pcie.root_complex import RootComplex
 from repro.pcie.switch import PcieSwitch
 from repro.sim.units import GiB
 
+#: Host physical address width, and the BAR size of a generic endpoint.
+_HPA_BITS = 48
+_ENDPOINT_BAR_BYTES = 32 << 20
+
 
 class PcieFabric:
     """A complete single-host PCIe subsystem."""
 
-    def __init__(
-        self,
-        host_memory_bytes=256 * GiB,
-        iommu=None,
-        hpa_bits=48,
-    ):
-        self.hpa_map = PhysicalMemoryMap(AddressSpace.HPA, 1 << hpa_bits)
+    def __init__(self, host_memory_bytes=256 * GiB, iommu=None):
+        self.hpa_map = PhysicalMemoryMap(AddressSpace.HPA, 1 << _HPA_BITS)
         dram = self.hpa_map.allocate(host_memory_bytes, MemoryKind.HOST_DRAM,
                                      alignment=1 << 30)
         self.host_memory = HostMemoryTarget(dram)
@@ -92,11 +91,12 @@ class PcieFabric:
         gpu.install_bars(self.hpa_map)
         return self.attach_function(switch, gpu)
 
-    def add_endpoint(self, switch, name, bar_bytes=32 << 20):
+    def add_endpoint(self, switch, name):
         """Attach a generic endpoint (e.g. an RNIC function) with one BAR."""
         function = PcieFunction(name, self.new_bdf())
         function.add_bar(
-            self.hpa_map.allocate(bar_bytes, MemoryKind.DEVICE_MMIO, alignment=4096)
+            self.hpa_map.allocate(_ENDPOINT_BAR_BYTES, MemoryKind.DEVICE_MMIO,
+                                  alignment=4096)
         )
         return self.attach_function(switch, function)
 

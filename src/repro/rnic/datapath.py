@@ -51,14 +51,12 @@ class AccessResult:
 class RnicDatapath:
     """Translates (mtt_key, va) accesses into TLP parameters + stall time."""
 
-    def __init__(self, mtt, mode, atc=None,
-                 ats_pipeline_depth=calibration.ATS_PIPELINE_DEPTH):
+    def __init__(self, mtt, mode, atc=None):
         if mode is DatapathMode.ATS_ATC and atc is None:
             raise ValueError("ATS_ATC datapath requires a DeviceAtc")
         self.mtt = mtt
         self.mode = mode
         self.atc = atc
-        self.ats_pipeline_depth = ats_pipeline_depth
 
     def access(self, key, va, length=1):
         """Translate one access (within a single page) for emission."""
@@ -77,7 +75,7 @@ class RnicDatapath:
             stall += (
                 result.latency
                 if result.atc_hit
-                else result.latency / self.ats_pipeline_depth
+                else result.latency / calibration.ATS_PIPELINE_DEPTH
             )
             return AccessResult(
                 result.hpa,

@@ -32,6 +32,9 @@ runs a full :meth:`check` on clean exit.  Tests inject violations
 
 from repro.sim.engine import SimProcessError
 
+#: Leaked events an event-leak error names before summarising the rest.
+_MAX_LEAKED_SHOWN = 5
+
 
 class SanitizerError(SimProcessError):
     """A simulation invariant was violated at runtime."""
@@ -109,7 +112,7 @@ class SimSanitizer:
 
     # -- event-leak detection --------------------------------------------
 
-    def assert_drained(self, max_leaked_shown=5):
+    def assert_drained(self):
         """Fail if live events remain after a workload declared completion.
 
         The error names the leaked events (time + callback) so the
@@ -122,9 +125,9 @@ class SimSanitizer:
 
         shown = ", ".join(
             "t=%g:%s" % (event.time, callback_name(event.callback))
-            for event in leaked[:max_leaked_shown]
+            for event in leaked[:_MAX_LEAKED_SHOWN]
         )
-        more = len(leaked) - min(len(leaked), max_leaked_shown)
+        more = len(leaked) - min(len(leaked), _MAX_LEAKED_SHOWN)
         raise SanitizerError(
             "event leak: %d live event(s) still queued at drain: %s%s"
             % (len(leaked), shown, " (+%d more)" % more if more else "")

@@ -130,17 +130,19 @@ def record_training(model_name, strategy, framework=None, iterations=4,
     """
     from repro.training.comms import comm_volumes
     from repro.training.models import Framework, MODELS
-    from repro.training.trainer import CostModelConfig, iteration_breakdown
+    from repro.training.trainer import (
+        INTRA_SERVER_DP_BANDWIDTH,
+        iteration_breakdown,
+    )
 
     model = MODELS[model_name]
     framework = framework or Framework.MEGATRON
-    config = CostModelConfig()
     dp_bandwidth = (
         dp_bandwidth if dp_bandwidth is not None
-        else config.intra_server_dp_bandwidth
+        else INTRA_SERVER_DP_BANDWIDTH
     )
     breakdown = iteration_breakdown(
-        model, strategy, framework, config=config, dp_bandwidth=dp_bandwidth
+        model, strategy, framework, dp_bandwidth=dp_bandwidth
     )
     volumes = comm_volumes(model, strategy, framework)
     recorder = TraceRecorder(source="trainer")

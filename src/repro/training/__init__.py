@@ -25,7 +25,6 @@ from repro.training.parallelism import Placement, cross_segment_edges, place_job
 from repro.training.trainer import (
     TRANSPORTS,
     VSTELLAR_VIRT_OVERHEAD,
-    CostModelConfig,
     IterationBreakdown,
     TrainingSimulation,
     TransportConfig,
@@ -54,7 +53,6 @@ __all__ = [
     "place_job",
     "TRANSPORTS",
     "VSTELLAR_VIRT_OVERHEAD",
-    "CostModelConfig",
     "IterationBreakdown",
     "TrainingSimulation",
     "TransportConfig",

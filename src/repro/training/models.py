@@ -9,6 +9,9 @@ cost model can be compared against them.
 
 import enum
 
+#: Training sequence length (tokens) shared by every model.
+_SEQ_LEN = 2048
+
 
 class Framework(enum.Enum):
     MEGATRON = "Megatron"
@@ -19,12 +22,12 @@ class Framework(enum.Enum):
 class LlmModel:
     """Architecture parameters of one dense transformer."""
 
-    def __init__(self, name, parameters, layers, hidden, seq_len=2048):
+    def __init__(self, name, parameters, layers, hidden):
         self.name = name
         self.parameters = parameters
         self.layers = layers
         self.hidden = hidden
-        self.seq_len = seq_len
+        self.seq_len = _SEQ_LEN
 
     def __repr__(self):
         return "LlmModel(%r, %.1fB params)" % (self.name, self.parameters / 1e9)

@@ -21,34 +21,18 @@ from repro.training.models import Framework
 from repro.training.parallelism import Placement, place_job
 
 
-class CostModelConfig:
-    """Effective rates and overlap fractions of the cost model.
-
-    Defaults are calibrated so the four Table 1 jobs land in the paper's
-    10%–32% total-communication band (see EXPERIMENTS.md for the fit).
-    """
-
-    def __init__(
-        self,
-        gpu_flops=140e12,          # sustained bf16 FLOP/s per GPU (~45% MFU)
-        tp_bandwidth=60e9,          # NVLink effective B/s for TP messages
-        network_bandwidth=25e9,     # B/s per GPU (400G RNIC shared by 2 GPUs)
-        intra_server_dp_bandwidth=100e9,  # small jobs: NVLink-assisted DP
-        tp_overlap=0.0,             # TP all-reduces are blocking
-        dp_overlap=0.30,            # gradient all-reduce partially hidden
-        zero3_overlap=0.95,         # ZeRO-3 prefetch hides most gathers
-        pp_overlap=0.50,            # pipelining hides half the P2P time
-        ep_overlap=0.30,
-    ):
-        self.gpu_flops = gpu_flops
-        self.tp_bandwidth = tp_bandwidth
-        self.network_bandwidth = network_bandwidth
-        self.intra_server_dp_bandwidth = intra_server_dp_bandwidth
-        self.tp_overlap = tp_overlap
-        self.dp_overlap = dp_overlap
-        self.zero3_overlap = zero3_overlap
-        self.pp_overlap = pp_overlap
-        self.ep_overlap = ep_overlap
+#: Effective rates and overlap fractions of the cost model, calibrated so
+#: the four Table 1 jobs land in the paper's 10%–32% total-communication
+#: band (see EXPERIMENTS.md for the fit).
+_GPU_FLOPS = 140e12           # sustained bf16 FLOP/s per GPU (~45% MFU)
+_TP_BANDWIDTH = 60e9          # NVLink effective B/s for TP messages
+_NETWORK_BANDWIDTH = 25e9     # B/s per GPU (400G RNIC shared by 2 GPUs)
+INTRA_SERVER_DP_BANDWIDTH = 100e9  # small jobs: NVLink-assisted DP
+_TP_OVERLAP = 0.0             # TP all-reduces are blocking
+_DP_OVERLAP = 0.30            # gradient all-reduce partially hidden
+_ZERO3_OVERLAP = 0.95         # ZeRO-3 prefetch hides most gathers
+_PP_OVERLAP = 0.50            # pipelining hides half the P2P time
+_EP_OVERLAP = 0.30
 
 
 class IterationBreakdown:
@@ -97,39 +81,35 @@ class IterationBreakdown:
         )
 
 
-def iteration_breakdown(model, strategy, framework, config=None,
-                        dp_bandwidth=None, pp_bandwidth=None,
+def iteration_breakdown(model, strategy, framework, dp_bandwidth=None,
                         overhead_factor=0.0):
     """The analytic iteration-time model.
 
-    ``dp_bandwidth``/``pp_bandwidth`` override the config defaults — this
-    is the hook the network simulator feeds measured rates through.
-    ``overhead_factor`` inflates the total (e.g. a virtualization tax).
+    ``dp_bandwidth`` overrides the default DP rate — this is the hook the
+    network simulator feeds measured rates through.  ``overhead_factor``
+    inflates the total (e.g. a virtualization tax).
     """
-    config = config if config is not None else CostModelConfig()
     volumes = comm_volumes(model, strategy, framework)
-    compute = compute_flops(model, strategy) / config.gpu_flops
+    compute = compute_flops(model, strategy) / _GPU_FLOPS
 
     tp_time = 0.0
     if volumes.tp:
-        tp_time = volumes.tp / config.tp_bandwidth * (1 - config.tp_overlap)
+        tp_time = volumes.tp / _TP_BANDWIDTH * (1 - _TP_OVERLAP)
 
     if dp_bandwidth is None:
         small_job = strategy.gpus <= 2 * calibration.SERVER_GPUS
         dp_bandwidth = (
-            config.intra_server_dp_bandwidth if small_job
-            else config.network_bandwidth
+            INTRA_SERVER_DP_BANDWIDTH if small_job else _NETWORK_BANDWIDTH
         )
     dp_overlap = (
-        config.zero3_overlap if framework is Framework.DEEPSPEED_ZERO3
-        else config.dp_overlap
+        _ZERO3_OVERLAP if framework is Framework.DEEPSPEED_ZERO3
+        else _DP_OVERLAP
     )
     dp_time = volumes.dp / dp_bandwidth * (1 - dp_overlap) if volumes.dp else 0.0
 
     pp_time = 0.0
     if strategy.pp > 1:
-        pp_rate = pp_bandwidth if pp_bandwidth is not None else config.network_bandwidth
-        p2p = volumes.pp / pp_rate * (1 - config.pp_overlap)
+        p2p = volumes.pp / _NETWORK_BANDWIDTH * (1 - _PP_OVERLAP)
         # The 1F1B pipeline bubble idles each stage for (pp-1) of the
         # (ga + pp - 1) slots — time charged to "PP communication" by the
         # paper's accounting.
@@ -138,7 +118,7 @@ def iteration_breakdown(model, strategy, framework, config=None,
 
     ep_time = 0.0
     if volumes.ep:
-        ep_time = volumes.ep / config.network_bandwidth * (1 - config.ep_overlap)
+        ep_time = volumes.ep / _NETWORK_BANDWIDTH * (1 - _EP_OVERLAP)
 
     breakdown = IterationBreakdown(compute, tp_time, dp_time, pp_time, ep_time)
     if overhead_factor:
@@ -229,8 +209,7 @@ class TrainingSimulation:
 
     def train(self, model, strategy, framework=Framework.MEGATRON,
               placement=Placement.RANDOM, transport="stellar",
-              secure_container=False, config=None, dp_bandwidth=None,
-              servers=None):
+              secure_container=False, dp_bandwidth=None, servers=None):
         """Full pipeline: measure DP bandwidth, then build the breakdown.
 
         ``dp_bandwidth`` skips the measurement when the caller already
@@ -250,7 +229,6 @@ class TrainingSimulation:
             model,
             strategy,
             framework,
-            config=config,
             dp_bandwidth=dp_bandwidth,
             overhead_factor=overhead,
         )

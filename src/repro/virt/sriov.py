@@ -17,11 +17,10 @@ class SriovError(Exception):
 class VirtualFunction(PcieFunction):
     """An SR-IOV VF: its own BDF, BARs, and fixed memory footprint."""
 
-    def __init__(self, name, bdf, parent_pf,
-                 memory_bytes=calibration.VF_MEMORY_BYTES):
+    def __init__(self, name, bdf, parent_pf):
         super().__init__(name, bdf)
         self.parent_pf = parent_pf
-        self.memory_bytes = memory_bytes
+        self.memory_bytes = calibration.VF_MEMORY_BYTES
         self.gdr_enabled = False
         self.assigned_to = None  # container name once passed through
 
@@ -36,13 +35,11 @@ class VirtualFunction(PcieFunction):
 class SriovManager:
     """Manages the VFs of one RNIC physical function."""
 
-    def __init__(self, pf_name, fabric, switch, max_vfs=64,
-                 vf_memory_bytes=calibration.VF_MEMORY_BYTES):
+    def __init__(self, pf_name, fabric, switch, max_vfs=64):
         self.pf_name = pf_name
         self.fabric = fabric
         self.switch = switch
         self.max_vfs = max_vfs
-        self.vf_memory_bytes = vf_memory_bytes
         self.vfs = []
         self.resets = 0
 
@@ -79,7 +76,6 @@ class SriovManager:
                 "%s-vf%d" % (self.pf_name, index),
                 self.fabric.new_bdf(),
                 self.pf_name,
-                memory_bytes=self.vf_memory_bytes,
             )
             vf.add_bar(
                 self.fabric.hpa_map.allocate(1 << 20, _mmio_kind(), alignment=4096)

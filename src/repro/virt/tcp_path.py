@@ -61,13 +61,13 @@ def tcp_throughput(datapath, iommu=None, bytes_in_flight=64 * 1024 * 1024):
     return rate
 
 
-def compare_tcp_datapaths(iommu_mode=IommuMode.NOPT):
-    """The Section 4 comparison table: VF vs SF, with the IOMMU tax.
+def compare_tcp_datapaths():
+    """The Section 4 comparison table: VF vs SF, with the nopt IOMMU tax.
 
     Returns {datapath name: goodput bits/s}.
     """
     results = {}
     for datapath in TcpDatapath:
-        iommu = Iommu(mode=iommu_mode)
+        iommu = Iommu(mode=IommuMode.NOPT)
         results[datapath.value] = tcp_throughput(datapath, iommu=iommu)
     return results

@@ -39,7 +39,7 @@ class VfioDriver:
         self.hypervisor = hypervisor
         self.attachments = []
 
-    def attach(self, container, function, pin_all_memory=True):
+    def attach(self, container, function):
         """Assign ``function`` to ``container``.
 
         Maps each BAR into the guest GPA space via the MMU, binds the
@@ -58,9 +58,7 @@ class VfioDriver:
             self.hypervisor.mmu.register_direct_map(container.name, gpa, bar)
             guest_bar_gpas[bar.start] = gpa
         self.hypervisor.bind_device_domain(container, function)
-        pin_seconds = 0.0
-        if pin_all_memory:
-            pin_seconds = self.hypervisor.pin_all_guest_memory(container)
+        pin_seconds = self.hypervisor.pin_all_guest_memory(container)
         if hasattr(function, "assigned_to"):
             function.assigned_to = container.name
         attachment = VfioAttachment(

@@ -16,6 +16,10 @@ from repro.memory.iommu import Iommu
 from repro.pcie.atc import DeviceAtc
 from repro.sim.units import transfer_time
 
+#: Pages measured per sweep point; the access pattern is cyclic, so a
+#: contiguous window this long is representative of larger working sets.
+_MEASURE_CAP_PAGES = 200_000
+
 
 class GdrSweepRow:
     """One message-size point of a GDR sweep."""
@@ -55,28 +59,20 @@ class AtcMissExperiment:
 
     def __init__(
         self,
-        connections=calibration.FIG8_CONNECTIONS,
-        page_bytes=calibration.GDR_PAGE_BYTES,
         atc_capacity=calibration.ATC_CAPACITY_PAGES,
         iotlb_capacity=calibration.IOTLB_CAPACITY_PAGES,
         wire_rate=calibration.CX6_GDR_PEAK_RATE,
-        ats_pipeline_depth=calibration.ATS_PIPELINE_DEPTH,
-        measure_cap_pages=200_000,
     ):
-        self.connections = connections
-        self.page_bytes = page_bytes
         self.atc_capacity = atc_capacity
         self.iotlb_capacity = iotlb_capacity
         self.wire_rate = wire_rate
-        self.ats_pipeline_depth = ats_pipeline_depth
-        self.measure_cap_pages = measure_cap_pages
 
     def _build(self, message_bytes):
         """IOMMU domain mapping every connection's GPU buffer, plus an ATC."""
         iommu = Iommu(iotlb_capacity=self.iotlb_capacity)
         iommu.create_domain("gdr")
         hbm_base = 0x100_0000_0000
-        for conn in range(self.connections):
+        for conn in range(calibration.FIG8_CONNECTIONS):
             da = conn * message_bytes
             iommu.map(
                 "gdr", da, hbm_base + da, message_bytes,
@@ -85,16 +81,16 @@ class AtcMissExperiment:
         atc = DeviceAtc(
             iommu, "gdr",
             capacity_pages=self.atc_capacity,
-            page_size=self.page_bytes,
+            page_size=calibration.GDR_PAGE_BYTES,
         )
         return iommu, atc
 
     def _access_stream(self, message_bytes):
         """Round-robin page addresses: one page per connection per turn."""
-        pages_per_conn = max(1, message_bytes // self.page_bytes)
+        pages_per_conn = max(1, message_bytes // calibration.GDR_PAGE_BYTES)
         for page_index in range(pages_per_conn):
-            offset = page_index * self.page_bytes
-            for conn in range(self.connections):
+            offset = page_index * calibration.GDR_PAGE_BYTES
+            for conn in range(calibration.FIG8_CONNECTIONS):
                 yield conn * message_bytes + offset
 
     def measure(self, message_bytes):
@@ -109,7 +105,7 @@ class AtcMissExperiment:
             atc.translate(address)
         atc.reset_counters()
         iommu.iotlb.reset_counters()
-        wire_page = transfer_time(self.page_bytes, self.wire_rate)
+        wire_page = transfer_time(calibration.GDR_PAGE_BYTES, self.wire_rate)
         total_time = 0.0
         pcie_latency_sum = 0.0
         pages_measured = 0
@@ -119,14 +115,14 @@ class AtcMissExperiment:
             # ATS round trip amortized over the outstanding-request window.
             stall = (
                 0.0 if result.atc_hit
-                else result.latency / self.ats_pipeline_depth
+                else result.latency / calibration.ATS_PIPELINE_DEPTH
             )
             total_time += wire_page + stall
             pcie_latency_sum += result.latency
             pages_measured += 1
-            if pages_measured >= self.measure_cap_pages:
+            if pages_measured >= _MEASURE_CAP_PAGES:
                 break
-        rate = pages_measured * self.page_bytes * 8.0 / total_time
+        rate = pages_measured * calibration.GDR_PAGE_BYTES * 8.0 / total_time
         return GdrSweepRow(
             message_bytes,
             rate,
@@ -140,8 +136,7 @@ class AtcMissExperiment:
         return [self.measure(size) for size in sizes]
 
 
-def emtt_sweep(sizes=None, wire_rate=calibration.CX6_GDR_PEAK_RATE,
-               page_bytes=calibration.GDR_PAGE_BYTES):
+def emtt_sweep(sizes=None, wire_rate=calibration.CX6_GDR_PEAK_RATE):
     """The vStellar curve of Figure 8: eMTT pages pay only the on-chip
     lookup, so bandwidth is flat across working-set sizes."""
     sizes = sizes if sizes is not None else default_gdr_sizes()

@@ -13,13 +13,17 @@ Three scenarios:
 import pytest
 
 from repro.cluster import FleetSimulation, JobSpec, JobState, PlacementPolicy
-from repro.net.topology import DualPlaneTopology
+from repro.core.spray import make_selector
+from repro.net.loadmodel import StaticLoadModel
+from repro.net.topology import DualPlaneTopology, ServerAddress
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import SimSanitizer
+from repro.sim.rng import RngStream
 from repro.sim.units import GiB, MiB
 from repro.workloads.fleet_bench import (
     CHURN_FAILURE_AT,
     CHURN_FAILURE_SECONDS,
+    build_churn_fleet,
     churn_tenants,
     run_churn,
     run_fleet_smoke,
@@ -226,6 +230,43 @@ class TestChurnScenario:
     def test_slowdown_tail_reflects_contention(self, churn):
         fleet, result, registry = churn
         assert result.p99_slowdown() > 1.0
+
+
+class TestBackgroundLoad:
+    """``FleetSimulation._background_rates`` against its docstring claim:
+    the per-link load equals spraying every running job's background
+    flows through one shared :class:`StaticLoadModel`."""
+
+    def test_equals_static_load_model(self):
+        fleet = build_churn_fleet(seed=17)
+        fleet.run(until=100.0)
+        running = [job for job in fleet.jobs if job.state is JobState.RUNNING]
+        assert running
+        topology = fleet.topology
+        model = StaticLoadModel(topology, seed=fleet.seed)
+        for job in running:
+            for k, host in enumerate(job.unique_hosts()):
+                src = host.address
+                dst = ServerAddress((src.segment + 1) % topology.segments,
+                                    src.index)
+                selector = make_selector(
+                    "obs", 16,
+                    rng=RngStream(fleet.seed, "bg", job.spec.name, str(k)),
+                )
+                # 10 Gbit/s of storage/checkpoint traffic for one second.
+                model.add_flow(
+                    src, dst, 0, selector, 10e9 / 8,
+                    connection_id=1_000_000 + job.index * 64 + k,
+                    max_draws=64,
+                )
+        expected = dict(zip(
+            model.loads.bytes_by_link,
+            model.loads.rates_for(model.loads.bytes_by_link, 1.0),
+        ))
+        assert expected
+        # The private helper is the unit under test.
+        rates = fleet._background_rates(running)  # simlint: ok L-private
+        assert rates == expected
 
 
 class TestFleet1024:

@@ -13,7 +13,6 @@ hybrid runs (the acceptance oracle for deterministic window boundaries).
 import pytest
 
 from repro.cluster.fidelity import (
-    DEFAULT_ADMISSION_BURST_DEPTH,
     DEFAULT_HYSTERESIS_SECONDS,
     DEFAULT_WINDOW_SECONDS,
     TRIGGER_KINDS,
@@ -33,7 +32,6 @@ class TestControllerStateMachine:
         ctl = FidelityController(mode=Fidelity.HYBRID)
         assert ctl.window_seconds == DEFAULT_WINDOW_SECONDS
         assert ctl.hysteresis_seconds == DEFAULT_HYSTERESIS_SECONDS
-        assert ctl.admission_burst_depth == DEFAULT_ADMISSION_BURST_DEPTH
         # Every trigger the fleet can report is in the catalogue.
         assert set(TRIGGER_KINDS) == {
             "link-fail", "link-heal", "loss-inject", "admission-burst",
