@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke hybrid-smoke figures figures-smoke traces traces-smoke tour examples all clean
+.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke hybrid-smoke determinism-smoke figures figures-smoke traces traces-smoke tour examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -59,6 +59,15 @@ bench-smoke:
 # digest-for-digest like fluid epochs do.
 hybrid-smoke:
 	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro run hybrid-smoke \
+		--workers 2 --no-cache --check-sequential
+
+# The probe and fleet smoke/churn determinism cells (two seeds, repeat
+# pairs; hybrid-smoke covers the hybrid cells), every pooled row diffed
+# against a sequential re-run: traced runs go through the same scheduler
+# loop as untraced ones, so each cell must reproduce digest-for-digest
+# across processes.
+determinism-smoke:
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro run determinism \
 		--workers 2 --no-cache --check-sequential
 
 # Full figure sweeps through the parallel runner (repro.runner): every

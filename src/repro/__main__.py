@@ -159,10 +159,6 @@ def write_health_report(fleet, flight, tracer, path):
           % (count, trace_path))
 
 
-def tour_quickstart():
-    import examples.quickstart  # noqa: F401  (path fallback below)
-
-
 #: The telemetry probe result shared between the metrics tour and the
 #: --trace/--metrics exporters (run at most once per invocation).
 _PROBE = None

@@ -171,19 +171,6 @@ class FidelityController:
             return value
         return cls(mode=Fidelity(value))
 
-    def snapshot(self):
-        return {
-            "mode": self.mode.value,
-            "window_seconds": self.window_seconds,
-            "hysteresis_seconds": self.hysteresis_seconds,
-            "promotions": self.promotions,
-            "extensions": self.extensions,
-            "demotions": self.demotions,
-            "triggers": self.triggers,
-            "windows_closed": len(self.windows),
-            "window_open": int(self.window_open()),
-        }
-
     def __repr__(self):
         return "FidelityController(%s, %d window(s), %d trigger(s))" % (
             self.mode.value, len(self.windows) + int(self.window_open()),

@@ -749,7 +749,6 @@ class FleetSimulation:
             rails=self.topology.rails,
             algorithm=transport.algorithm,
             path_count=transport.path_count,
-            gpus_per_server=max(1, job.spec.gpus // len(servers)),
         )
         task.launch(sim, continuous=True,
                     connection_base=job.index * CONNECTION_STRIDE)

@@ -30,7 +30,6 @@ class RingAllReduceTask:
         rails=calibration.SERVER_RNICS,
         algorithm="obs",
         path_count=calibration.SPRAY_PATH_COUNT,
-        gpus_per_server=calibration.SERVER_GPUS,
     ):
         if len(servers) < 2:
             raise ValueError("AllReduce task %r needs >= 2 servers" % name)
@@ -40,12 +39,7 @@ class RingAllReduceTask:
         self.rails = rails
         self.algorithm = algorithm
         self.path_count = path_count
-        self.gpus_per_server = gpus_per_server
         self.flows = []
-
-    @property
-    def gpu_count(self):
-        return len(self.servers) * self.gpus_per_server
 
     def flow_bytes(self):
         """Wire bytes per flow: the ring share of this rail's data slice."""

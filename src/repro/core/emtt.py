@@ -82,12 +82,6 @@ class RcRoutedRegistrar:
         self.iommu = iommu
         self.domain_name = domain_name
 
-    def register_host(self, pd, container, gva_region):
-        chunks = host_gpa_chunks(container, gva_region)
-        return self.nic.reg_mr(
-            pd, gva_region.start, chunks, MemoryKind.HOST_DRAM, translated=False
-        )
-
     def register_gpu(self, pd, gpu, offset, length, da_base):
         self.iommu.map(
             self.domain_name,

@@ -27,10 +27,6 @@ class MapCacheStats:
         self.hits = 0
         self.misses = 0
 
-    @property
-    def accesses(self):
-        return self.hits + self.misses
-
     def __repr__(self):
         return "MapCacheStats(hits=%d, misses=%d)" % (self.hits, self.misses)
 
@@ -102,8 +98,7 @@ class PvdmaEngine:
             interval = ept.lookup(cursor)
             if interval is None:
                 # Unbacked GPA (hole): skip the gap.
-                nxt = min(end, self._next_mapped(ept, cursor, end))
-                cursor = nxt
+                cursor = self._next_mapped(ept, cursor, end)
                 continue
             take = min(end, interval.src_end) - cursor
             cost += iommu.map(
@@ -118,9 +113,10 @@ class PvdmaEngine:
         return cost
 
     @staticmethod
-    def _next_mapped(ept, cursor, end):
-        """First mapped GPA in (cursor, end), or end."""
-        for interval in ept.intervals():
+    def _next_mapped(table, cursor, end):
+        """First address in (cursor, end) that ``table`` (an EPT or an
+        IOMMU domain's RangeMap) maps, or end."""
+        for interval in table.intervals():
             if interval.src > cursor:
                 return min(interval.src, end)
         return end
@@ -176,12 +172,7 @@ class PvdmaEngine:
         while cursor < end:
             interval = domain.table.lookup(cursor)
             if interval is None:
-                nxt = end
-                for candidate in domain.table.intervals():
-                    if candidate.src > cursor:
-                        nxt = min(candidate.src, end)
-                        break
-                cursor = nxt
+                cursor = self._next_mapped(domain.table, cursor, end)
                 continue
             take = min(end, interval.src_end) - cursor
             iommu.unmap(container.domain_name, cursor, take)

@@ -385,17 +385,6 @@ class SprayConnection:
     def on_loss(self, path):
         self.selector.on_feedback(path, loss=True)
 
-    def snapshot(self):
-        """Public counter snapshot for one connection's spray behaviour."""
-        return {
-            "algorithm": self.algorithm,
-            "path_count": self.path_count,
-            "packets_sent": self.selector.packets_sent,
-            "retransmissions": self.retransmissions,
-            "window_bytes": getattr(self.cc, "window", 0),
-            "in_flight_bytes": getattr(self.cc, "in_flight", 0),
-        }
-
     def __repr__(self):
         return "SprayConnection(%r, %s x %d paths)" % (
             self.conn_id,

@@ -16,7 +16,6 @@ from repro.memory.address import (
     align_down,
     align_up,
     page_count,
-    page_index,
     page_span,
 )
 from repro.memory.caches import TranslationCache
@@ -36,7 +35,6 @@ __all__ = [
     "align_down",
     "align_up",
     "page_count",
-    "page_index",
     "page_span",
     "TranslationCache",
     "AtsResult",

@@ -60,11 +60,6 @@ def align_up(value, alignment):
     return value if remainder == 0 else value + alignment - remainder
 
 
-def page_index(address, page_size):
-    """Index of the page containing ``address``."""
-    return address // page_size
-
-
 def page_span(start, length, page_size):
     """Iterate the page-aligned base addresses covering [start, start+length)."""
     if length <= 0:
@@ -136,13 +131,6 @@ class MemoryRegion:
                 % (offset, offset + length, self.length)
             )
         return MemoryRegion(self.start + offset, length, self.space, self.kind)
-
-    def pages(self, page_size):
-        """Page-aligned base addresses covering this region."""
-        return page_span(self.start, self.length, page_size)
-
-    def page_count(self, page_size):
-        return page_count(self.start, self.length, page_size)
 
     def __eq__(self, other):
         if not isinstance(other, MemoryRegion):
@@ -244,12 +232,9 @@ class PhysicalMemoryMap:
                 return region
         return None
 
-    def allocated_bytes(self):
-        return sum(region.length for region in self._regions)
-
     def __repr__(self):
         return "PhysicalMemoryMap(%s, %d regions, %d bytes used)" % (
             self.space.value,
             len(self._regions),
-            self.allocated_bytes(),
+            sum(region.length for region in self._regions),
         )

@@ -99,9 +99,6 @@ class PageTable:
         for page in page_span(source, length, self.page_size):
             self.unmap_page(page)
 
-    def is_mapped(self, address):
-        return align_down(address, self.page_size) in self._entries
-
     def entry(self, address):
         """The entry covering ``address``, or ``None``."""
         return self._entries.get(align_down(address, self.page_size))

@@ -87,7 +87,8 @@ class FluidFlow:
         start_time=0.0,
         on_seconds=None,
         off_seconds=None,
-        rng=None,
+        *,
+        rng,
     ):
         self.flow_id = flow_id
         self.src = src
@@ -105,7 +106,6 @@ class FluidFlow:
         #: paths that plot the timeline) — mean_rate() never needs it.
         self.rate_history = []
         self.entropy = flow_entropy(src.node_id, dst.node_id, connection_id)
-        rng = rng if rng is not None else RngStream(0, "fluid", flow_id)
         self.selector = make_selector(algorithm, path_count, rng=rng)
         #: Static path distributions (single/RR/OBS) resolve to one
         #: canonical sparse row (sorted link ids, weights), built lazily

@@ -40,9 +40,6 @@ class LinkRef:
         self.key = key
         self._hash = hash((kind, key))
 
-    def as_tuple(self):
-        return (self.kind, self.key)
-
     def __eq__(self, other):
         if other is self:
             return True

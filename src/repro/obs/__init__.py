@@ -6,8 +6,7 @@ on both to diagnose the Figure 8 regressions):
 * :mod:`repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram``
   instruments and snapshot providers in a :class:`MetricsRegistry`;
 * :mod:`repro.obs.trace` — sim-time span/instant/counter events with
-  Chrome trace-event (Perfetto) export and a zero-overhead
-  :class:`NullTracer`;
+  Chrome trace-event (Perfetto) export;
 * :mod:`repro.obs.sampler` — fixed-cadence gauge sampling (the Figure
   9/10 time series) with JSON/CSV dumps;
 * :mod:`repro.obs.export` — file writers and trace validation;
@@ -50,7 +49,7 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.sampler import TimeSeriesSampler
-from repro.obs.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = [
     "load_chrome_trace",
@@ -78,8 +77,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "TimeSeriesSampler",
-    "NULL_TRACER",
-    "NullTracer",
     "TraceEvent",
     "Tracer",
 ]

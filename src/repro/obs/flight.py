@@ -71,16 +71,14 @@ class FlightRecorder:
     """Bounded, always-ordered ring buffer of :class:`FlightEvent`.
 
     ``capacity`` bounds memory; once full, the oldest event is evicted
-    per append and counted in :attr:`dropped`.  ``enabled=False`` turns
-    ``record()`` into a counter-free no-op without detaching the
-    recorder from its components.
+    per append and counted in :attr:`dropped`.  Components that record
+    nothing hold ``flight = None``.
     """
 
-    def __init__(self, capacity=_DEFAULT_CAPACITY, enabled=True):
+    def __init__(self, capacity=_DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("flight capacity must be positive: %r" % capacity)
         self.capacity = capacity
-        self.enabled = enabled
         self._events = deque(maxlen=capacity)
         self.recorded = 0
         self.dropped = 0
@@ -89,13 +87,11 @@ class FlightRecorder:
     # -- recording -------------------------------------------------------
 
     def record(self, t, layer, kind, entity=None, severity="info", **payload):
-        """Append one event at sim time ``t``; returns the event or None.
+        """Append one event at sim time ``t``; returns the event.
 
         ``payload`` keys must be plain data — the JSONL/Perfetto export
         and the determinism digest both canonicalize them.
         """
-        if not self.enabled:
-            return None
         if severity not in self._severity_counts:
             raise ValueError(
                 "unknown severity %r (have %s)"
@@ -124,14 +120,8 @@ class FlightRecorder:
         """``{severity: count}`` over everything ever recorded."""
         return dict(self._severity_counts)
 
-    def clear(self):
-        self._events.clear()
-
     def __len__(self):
         return len(self._events)
-
-    def __iter__(self):
-        return iter(list(self._events))
 
     # -- export ----------------------------------------------------------
 
@@ -165,7 +155,6 @@ class FlightRecorder:
             "dropped": self.dropped,
             "buffered": len(self._events),
             "capacity": self.capacity,
-            "enabled": self.enabled,
         }
         for name, count in self._severity_counts.items():
             snap["severity.%s" % name] = count

@@ -225,21 +225,11 @@ class MetricsRegistry:
         self._instruments[name] = histogram
         return histogram
 
-    def get(self, name):
-        return self._instruments.get(name)
-
     def __contains__(self, name):
         return name in self._instruments
 
     def __len__(self):
         return len(self._instruments)
-
-    def instruments(self, prefix=None):
-        """All instruments, optionally filtered by dotted-name prefix."""
-        items = sorted(self._instruments.items())
-        if prefix is None:
-            return [instrument for _, instrument in items]
-        return [inst for name, inst in items if name.startswith(prefix)]
 
     # -- providers -------------------------------------------------------
 
@@ -253,9 +243,6 @@ class MetricsRegistry:
         if not prefix:
             raise MetricError("provider prefix must be non-empty")
         self._providers[prefix] = snapshot_fn
-
-    def providers(self):
-        return dict(self._providers)
 
     # -- export ----------------------------------------------------------
 

@@ -5,8 +5,11 @@ exported JSON in https://ui.perfetto.dev (or ``chrome://tracing``) and the
 timeline reads in sim time.  Nothing here reads the host clock, so a
 trace describes what the simulation did, never how fast it ran.
 
-When tracing is off, components hold ``tracer = None`` (or the shared
-:data:`NULL_TRACER`) and hot paths pay a single ``is not None`` test.
+When tracing is off, components hold ``tracer = None`` and hot paths
+pay a single ``is not None`` test.  The scheduler records callbacks
+through a per-event hook on its one run loop
+(:meth:`repro.sim.engine.EventScheduler.set_tracer`), so a traced run
+executes the same dispatch code as an untraced one.
 """
 
 from functools import partial
@@ -63,8 +66,6 @@ class TraceEvent:
 
 class Tracer:
     """Collects sim-time trace events for one run."""
-
-    enabled = True
 
     def __init__(self, process_name="repro-sim"):
         self.process_name = process_name
@@ -143,7 +144,7 @@ class Tracer:
     def record_callback(self, ts, name, queue_depth=None):
         """One executed scheduler callback at sim instant ``ts``.
 
-        Called by :meth:`repro.sim.engine.EventScheduler.step`.  The event
+        Called by the scheduler's tracer hook after each callback.  The event
         lands on the ``scheduler`` track as a zero-width span.
         """
         self.events.append(TraceEvent(
@@ -184,61 +185,6 @@ class Tracer:
 
     def __repr__(self):
         return "Tracer(%d events, %d tracks)" % (len(self.events), len(self._tracks))
-
-
-class NullTracer:
-    """Do-nothing stand-in with the full :class:`Tracer` surface.
-
-    Components that want unconditional ``self.tracer.instant(...)`` calls
-    can hold this instead of branching; the scheduler's hot loop still
-    normalizes it to ``None`` so disabled runs pay nothing per event.
-    """
-
-    enabled = False
-    events = ()
-
-    def track(self, name):
-        return 0
-
-    def complete(self, *args, **kwargs):
-        pass
-
-    def instant(self, *args, **kwargs):
-        pass
-
-    def counter(self, *args, **kwargs):
-        pass
-
-    def begin(self, *args, **kwargs):
-        pass
-
-    def end(self, *args, **kwargs):
-        pass
-
-    def async_begin(self, *args, **kwargs):
-        pass
-
-    def async_end(self, *args, **kwargs):
-        pass
-
-    def record_callback(self, *args, **kwargs):
-        pass
-
-    def to_chrome(self):
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def clear(self):
-        pass
-
-    def __len__(self):
-        return 0
-
-    def __repr__(self):
-        return "NullTracer()"
-
-
-#: Shared no-op tracer for "tracing off" defaults.
-NULL_TRACER = NullTracer()
 
 
 def callback_name(callback):

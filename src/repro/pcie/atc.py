@@ -79,9 +79,5 @@ class DeviceAtc:
     def reset_counters(self):
         self.cache.reset_counters()
 
-    @property
-    def hit_rate(self):
-        return self.cache.hit_rate
-
     def __repr__(self):
         return "DeviceAtc(domain=%r, %r)" % (self.domain_name, self.cache)

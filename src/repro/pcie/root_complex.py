@@ -45,10 +45,6 @@ class RootComplex:
         switch.upstream = self
         return switch
 
-    @property
-    def ports(self):
-        return list(self._ports)
-
     def bind_domain(self, bdf, domain_name, pasid=None):
         """Associate a requester (BDF, optional PASID) with an IOMMU domain.
 

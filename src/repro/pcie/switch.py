@@ -49,10 +49,6 @@ class PcieSwitch:
         self._lut.discard(function.bdf)
         function.port = None
 
-    @property
-    def functions(self):
-        return list(self._functions.values())
-
     def snapshot(self):
         """Public counter snapshot: LUT pressure and routed-TLP counts."""
         return {

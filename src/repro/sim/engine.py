@@ -2,8 +2,16 @@
 
 The scheduler is deliberately minimal: events are ``(time, sequence,
 callback)`` triples, ties broken by insertion order so runs are fully
-deterministic.  Components schedule callbacks; the run loop executes them
-in timestamp order until the queue drains or a time/ event budget is hit.
+deterministic.  Components schedule callbacks; :meth:`EventScheduler.run`
+executes them in timestamp order until the queue drains or a time/ event
+budget is hit.
+
+``run()`` is the one dispatch loop.  Per-event observers — the tracer's
+callback records, :class:`~repro.sim.sanitizer.SimSanitizer`'s clock
+check — are hooks registered with :meth:`EventScheduler.observe`, called
+as ``hook(event_time, callback)`` after every callback, so a traced or
+sanitized run executes the same loop as a bare one.  With no hook
+registered the loop pays one empty-tuple test per event.
 
 Hot-path design (every simbench workload runs through this loop):
 
@@ -13,15 +21,12 @@ Hot-path design (every simbench workload runs through this loop):
   compared).
 * Live/cancelled counts are maintained incrementally — ``pending()`` is
   O(1) instead of an O(n) heap scan.
-* Untraced ``run()`` is a fused loop: one heap pop per event, instead
-  of the ``peek_time()`` + ``step()`` pair that can touch the heap
-  twice.  Traced runs go event by event through ``step()``, the one
-  place callbacks are recorded; both execute the same events in the
-  same order.
+* The loop pops each event once, and drains same-timestamp runs in a
+  batched inner loop that skips the time-limit compare and clock store.
 * Cancelled events are skipped lazily, and the heap is compacted once
   dead entries outnumber live ones (loss-heavy runs can cancel
   thousands of timers that would otherwise linger until their
-  deadline), whether or not a tracer is attached.
+  deadline).
 """
 
 import heapq
@@ -86,22 +91,44 @@ class EventScheduler:
         self.events_executed = 0
         # Cancelled-but-still-queued entry count; live = len(heap) - dead.
         self._dead = 0
+        # Per-event observers, called as hook(event_time, callback).
+        self._hooks = ()
         self.tracer = None
         if tracer is not None:
             self.set_tracer(tracer)
 
-    def set_tracer(self, tracer):
-        """Attach a :class:`repro.obs.trace.Tracer` (or ``None`` to detach).
+    def observe(self, hook):
+        """Call ``hook(event_time, callback)`` after every executed callback.
 
-        Disabled tracers (``NULL_TRACER``) normalize to ``None`` so the run
-        loop's only overhead when tracing is off is one ``is not None``
-        test per run.  Attach tracers between ``run()`` calls — ``run()``
-        picks its loop when it starts.
+        ``run()`` reads the hooks once when it starts: register and
+        remove them between ``run()`` calls.
         """
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
+        self._hooks += (hook,)
+
+    def unobserve(self, hook):
+        """Remove one registration of ``hook``."""
+        hooks = list(self._hooks)
+        hooks.remove(hook)
+        self._hooks = tuple(hooks)
+
+    def set_tracer(self, tracer):
+        """Attach a :class:`repro.obs.trace.Tracer` (or ``None`` to detach)."""
+        if self.tracer is not None:
+            self.unobserve(self._record_callback)
         self.tracer = tracer
+        if tracer is not None:
+            self.observe(self._record_callback)
         return tracer
+
+    def _record_callback(self, event_time, callback):
+        """Tracer hook: one callback record, plus a queue-depth sample
+        every :attr:`QUEUE_SAMPLE_EVERY` executed events."""
+        depth = None
+        if self.events_executed % self.QUEUE_SAMPLE_EVERY == 0:
+            depth = len(self._heap)
+        self.tracer.record_callback(
+            event_time, callback_name(callback), queue_depth=depth
+        )
 
     def register_metrics(self, registry, prefix="scheduler"):
         """Expose run-loop health under ``scheduler.*`` in ``registry``."""
@@ -160,7 +187,7 @@ class EventScheduler:
     def _compact(self):
         """Drop cancelled entries in place and re-heapify.
 
-        In place (``heap[:] =``) on purpose: the fused run loop holds a
+        In place (``heap[:] =``) on purpose: the run loop holds a
         local reference to the heap list, which must stay valid across a
         compaction triggered from inside a callback.
         """
@@ -184,39 +211,6 @@ class EventScheduler:
             return heap[0][0]
         return None
 
-    def step(self):
-        """Execute the next live event.  Returns ``False`` when queue is empty.
-
-        The fused ``run()`` loop is the untraced fast path; ``step()`` is
-        the single-event building block that records traced callbacks and
-        that drivers needing per-event control shadow (``SimSanitizer``
-        interposes its checks this way).
-        """
-        heap = self._heap
-        while heap:
-            event_time, _seq, payload = heapq.heappop(heap)
-            if payload.__class__ is Event:
-                if payload.cancelled:
-                    self._dead -= 1
-                    continue
-                payload._sched = None
-                callback = payload.callback
-            else:
-                callback = payload
-            self.now = event_time
-            self.events_executed += 1
-            tracer = self.tracer
-            callback()
-            if tracer is not None:
-                depth = None
-                if self.events_executed % self.QUEUE_SAMPLE_EVERY == 0:
-                    depth = len(heap)
-                tracer.record_callback(
-                    event_time, callback_name(callback), queue_depth=depth
-                )
-            return True
-        return False
-
     def run(self, until=None, max_events=None):
         """Run events in order.
 
@@ -228,16 +222,12 @@ class EventScheduler:
         Returns:
             The number of events executed by this call.
         """
-        if self.tracer is not None or "step" in self.__dict__:
-            # Traced runs record every callback in step(); an instance-
-            # shadowed step() (SimSanitizer interposes per-event checks
-            # this way) must see every event too.
-            return self._run_stepped(until, max_events)
         executed = 0
         budget = float("inf") if max_events is None else max_events
         limit = float("inf") if until is None else until
         heap = self._heap
         heappop = heapq.heappop
+        hooks = self._hooks
         while heap:
             if executed >= budget:
                 return executed
@@ -262,6 +252,9 @@ class EventScheduler:
             self.events_executed += 1
             executed += 1
             callback()
+            if hooks:
+                for hook in hooks:
+                    hook(event_time, callback)
             # Batched dispatch: while the next entries share this
             # timestamp, drain them here without re-running the outer
             # loop's limit compare and clock store — neither can change
@@ -289,27 +282,9 @@ class EventScheduler:
                 self.events_executed += 1
                 executed += 1
                 callback()
-        if until is not None and self.now < until:
-            self.now = float(until)
-        return executed
-
-    def _run_stepped(self, until, max_events):
-        """Run loop over ``peek_time()``/``step()`` for traced runs and
-        instance-level ``step`` shadowing; executes the same events in
-        the same order as the fused loop.
-        """
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                return executed
-            next_time = self.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self.now = float(until)
-                return executed
-            self.step()
-            executed += 1
+                if hooks:
+                    for hook in hooks:
+                        hook(event_time, callback)
         if until is not None and self.now < until:
             self.now = float(until)
         return executed

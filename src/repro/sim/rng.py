@@ -39,10 +39,9 @@ class RngStream:
         self._names = tuple(names)
         self._root_seed = int(root_seed)
         self._random = random.Random(self.seed)
-        # Hot-path bindings: expose the underlying generator's bound
-        # methods directly so per-draw calls skip one Python frame.  The
-        # same generator methods run either way, so draw sequences (and
-        # therefore determinism digests) are unchanged.
+        # Hot-path draws are the underlying generator's bound methods, so
+        # per-draw calls skip one Python frame: ``random()`` in [0, 1),
+        # ``randint(low, high)`` inclusive, ``getrandbits(k)``.
         self.random = self._random.random
         self.randint = self._random.randint
         self.getrandbits = self._random.getrandbits
@@ -53,10 +52,6 @@ class RngStream:
 
     def uniform(self, low=0.0, high=1.0):
         return self._random.uniform(low, high)
-
-    def randint(self, low, high):
-        """Uniform integer in the inclusive range [low, high]."""
-        return self._random.randint(low, high)
 
     def choice(self, seq):
         return self._random.choice(seq)
@@ -69,9 +64,6 @@ class RngStream:
 
     def expovariate(self, rate):
         return self._random.expovariate(rate)
-
-    def random(self):
-        return self._random.random()
 
     def permutation(self, n):
         """A random permutation of range(n) with no fixed point when n > 1.

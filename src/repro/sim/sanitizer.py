@@ -22,14 +22,16 @@ discrete-event system:
   (``dp_bytes_fluid + dp_bytes_packet == dp_bytes_total``, fleet-wide
   and per job).
 
-The sanitizer is opt-in and composable: ``attach()`` wraps one
-:class:`~repro.sim.engine.EventScheduler` instance's ``step`` (the run
-loop calls ``self.step()``, so instance-attribute shadowing is enough),
-``detach()`` restores it, and the class works as a context manager that
-runs a full :meth:`check` on clean exit.  Tests inject violations
-(a leaked event, a cooked snapshot) and assert the sanitizer trips.
+The sanitizer is opt-in and composable: ``attach()`` registers a
+per-event hook with :meth:`~repro.sim.engine.EventScheduler.observe`, so
+the clock is checked inside the scheduler's one run loop — batched
+same-timestamp events included — and ``detach()`` removes it.  The
+class works as a context manager that runs a full :meth:`check` on
+clean exit.  Tests inject violations (a leaked event, a cooked snapshot)
+and assert the sanitizer trips.
 """
 
+from repro.obs.trace import callback_name
 from repro.sim.engine import SimProcessError
 
 #: Leaked events an event-leak error names before summarising the rest.
@@ -54,43 +56,36 @@ class SimSanitizer:
         self.registry = registry
         self.checks_run = 0
         self._attached = False
-        self._orig_step = None
         self._max_now_seen = scheduler.now
 
     # -- clock monotonicity ----------------------------------------------
 
     def attach(self):
-        """Wrap ``scheduler.step`` so every executed event checks the
-        clock; returns ``self`` for chaining."""
-        if self._attached:
-            return self
-        self._orig_step = self.scheduler.step
-        sanitizer = self
-
-        def checked_step():
-            before = sanitizer.scheduler.now
-            progressed = sanitizer._orig_step()
-            now = sanitizer.scheduler.now
-            if now < before:
-                raise SanitizerError(
-                    "clock went backwards inside step(): %g -> %g"
-                    % (before, now)
-                )
-            if now > sanitizer._max_now_seen:
-                sanitizer._max_now_seen = now
-            return progressed
-
-        self.scheduler.step = checked_step
-        self._attached = True
+        """Check the clock after every executed event; returns ``self``
+        for chaining."""
+        if not self._attached:
+            self.scheduler.observe(self._check_event)
+            self._attached = True
         return self
 
     def detach(self):
-        """Restore the scheduler's original ``step``."""
+        """Stop the per-event clock check."""
         if self._attached:
-            del self.scheduler.step  # uncovers the class method
-            self._orig_step = None
+            self.scheduler.unobserve(self._check_event)
             self._attached = False
         return self
+
+    def _check_event(self, event_time, callback):
+        """Scheduler hook: the callback left the clock at or past its
+        own timestamp."""
+        now = self.scheduler.now
+        if now < event_time:
+            raise SanitizerError(
+                "clock went backwards inside %s: %g -> %g"
+                % (callback_name(callback), event_time, now)
+            )
+        if now > self._max_now_seen:
+            self._max_now_seen = now
 
     def __enter__(self):
         return self.attach()
@@ -121,8 +116,6 @@ class SimSanitizer:
         leaked = self.scheduler.live_events()
         if not leaked:
             return
-        from repro.obs.trace import callback_name
-
         shown = ", ".join(
             "t=%g:%s" % (event.time, callback_name(event.callback))
             for event in leaked[:_MAX_LEAKED_SHOWN]

@@ -157,10 +157,6 @@ class Trace:
     def op_ids(self):
         return [op.id for op in self.ops]
 
-    def total_bytes(self):
-        """Sum of every op's logical payload size."""
-        return sum(op.size_bytes for op in self.ops)
-
     # -- serialization ---------------------------------------------------
 
     def header(self):

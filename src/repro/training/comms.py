@@ -42,10 +42,6 @@ class CommVolumes:
         self.pp = pp
         self.ep = ep
 
-    @property
-    def total(self):
-        return self.tp + self.dp + self.pp + self.ep
-
     def __repr__(self):
         return "CommVolumes(tp=%.2fGB, dp=%.2fGB, pp=%.2fGB, ep=%.2fGB)" % (
             self.tp / 1e9, self.dp / 1e9, self.pp / 1e9, self.ep / 1e9,

@@ -199,7 +199,6 @@ class TrainingSimulation:
             rails=self.topology.rails,
             algorithm=transport.algorithm,
             path_count=transport.path_count,
-            gpus_per_server=self.gpus_per_server,
         )
         task.launch(sim, continuous=True)
         sim.run(duration=sim_seconds)

@@ -52,10 +52,6 @@ class ScalableFunctionManager:
     def num_sfs(self):
         return len(self.sfs)
 
-    @property
-    def memory_overhead_bytes(self):
-        return sum(sf.memory_bytes for sf in self.sfs)
-
     def create(self):
         """Create one SF; unlike VFs this never requires a reset."""
         if self.num_sfs >= self.max_sfs:

@@ -68,10 +68,3 @@ class VfioDriver:
         container.vfio_attachments.append(attachment)
         return attachment
 
-    def detach(self, attachment):
-        self.attachments.remove(attachment)
-        attachment.function.assigned_to = None
-        for gpa in attachment.guest_bar_gpas.values():
-            self.hypervisor.mmu.unregister_direct_map(
-                attachment.container_name, gpa
-            )

@@ -57,19 +57,12 @@ def default_gdr_sizes(start=64 * 1024, stop=64 * 1024 * 1024):
 class AtcMissExperiment:
     """The Figure 8 client: 16 connections, round-robin page accesses."""
 
-    def __init__(
-        self,
-        atc_capacity=calibration.ATC_CAPACITY_PAGES,
-        iotlb_capacity=calibration.IOTLB_CAPACITY_PAGES,
-        wire_rate=calibration.CX6_GDR_PEAK_RATE,
-    ):
+    def __init__(self, atc_capacity=calibration.ATC_CAPACITY_PAGES):
         self.atc_capacity = atc_capacity
-        self.iotlb_capacity = iotlb_capacity
-        self.wire_rate = wire_rate
 
     def _build(self, message_bytes):
         """IOMMU domain mapping every connection's GPU buffer, plus an ATC."""
-        iommu = Iommu(iotlb_capacity=self.iotlb_capacity)
+        iommu = Iommu()
         iommu.create_domain("gdr")
         hbm_base = 0x100_0000_0000
         for conn in range(calibration.FIG8_CONNECTIONS):
@@ -105,7 +98,9 @@ class AtcMissExperiment:
             atc.translate(address)
         atc.reset_counters()
         iommu.iotlb.reset_counters()
-        wire_page = transfer_time(calibration.GDR_PAGE_BYTES, self.wire_rate)
+        wire_page = transfer_time(
+            calibration.GDR_PAGE_BYTES, calibration.CX6_GDR_PEAK_RATE
+        )
         total_time = 0.0
         pcie_latency_sum = 0.0
         pages_measured = 0
@@ -136,13 +131,13 @@ class AtcMissExperiment:
         return [self.measure(size) for size in sizes]
 
 
-def emtt_sweep(sizes=None, wire_rate=calibration.CX6_GDR_PEAK_RATE):
+def emtt_sweep(sizes=None):
     """The vStellar curve of Figure 8: eMTT pages pay only the on-chip
     lookup, so bandwidth is flat across working-set sizes."""
     sizes = sizes if sizes is not None else default_gdr_sizes()
     # eMTT lookups are on-chip SRAM reads, fully pipelined against the
     # wire: bandwidth is flat at line rate for every working-set size.
-    rate = wire_rate
+    rate = calibration.CX6_GDR_PEAK_RATE
     return [GdrSweepRow(size, rate, atc_hit_rate=None) for size in sizes]
 
 

@@ -83,6 +83,33 @@ class TestOnDemandPinning:
         with pytest.raises(PvdmaError):
             pvdma.dma_prepare(c, 0x0, 4096)
 
+    def test_block_with_hole_maps_and_unmaps_around_the_gap(self):
+        # RAM ends 1 MiB into the second block; a doorbell page is
+        # direct-mapped past the gap, so both prepare and release must
+        # skip the unbacked hole and still reach the doorbell.
+        hv, c, pvdma = make_setup(memory=3 * MiB)
+        doorbell_gpa = 3 * MiB + 512 * 1024
+        doorbell = MemoryRegion(
+            0xF000_0000, calibration.DOORBELL_PAGE_BYTES,
+            AddressSpace.HPA, MemoryKind.DEVICE_MMIO,
+        )
+        hv.mmu.register_direct_map(c.name, doorbell_gpa, doorbell)
+        assert pvdma.dma_prepare(c, 2 * MiB, 4096) > 0
+        domain = c.domain_name
+        assert hv.iommu.is_mapped(domain, 2 * MiB)
+        assert hv.iommu.is_mapped(domain, 3 * MiB - 4096)
+        assert not hv.iommu.is_mapped(domain, 3 * MiB)
+        assert not hv.iommu.is_mapped(domain, doorbell_gpa - 4096)
+        assert hv.iommu.is_mapped(domain, doorbell_gpa)
+        assert not hv.iommu.is_mapped(domain, doorbell_gpa + 4096)
+        assert hv.iommu.rc_translate(domain, doorbell_gpa).hpa == 0xF000_0000
+        assert not hv.iommu.is_mapped(domain, 0)  # first block untouched
+        pvdma.dma_release(c, 2 * MiB, 4096)
+        assert not hv.iommu.is_mapped(domain, 2 * MiB)
+        assert not hv.iommu.is_mapped(domain, 3 * MiB - 4096)
+        assert not hv.iommu.is_mapped(domain, doorbell_gpa)
+        assert len(hv.iommu.domain(domain).table) == 0
+
     def test_bad_lengths_rejected(self):
         hv, c, pvdma = make_setup()
         with pytest.raises(PvdmaError):

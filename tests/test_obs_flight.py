@@ -35,13 +35,6 @@ class TestRing:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
 
-    def test_disabled_recorder_is_a_noop(self):
-        flight = FlightRecorder(enabled=False)
-        assert flight.record(1.0, "net", "retransmit") is None
-        assert flight.recorded == 0
-        assert len(flight) == 0
-        assert flight.events() == []
-
     def test_unknown_severity_rejected(self):
         flight = FlightRecorder()
         with pytest.raises(ValueError):

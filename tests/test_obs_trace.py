@@ -6,8 +6,6 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     load_chrome_trace,
     write_chrome_trace,
@@ -164,26 +162,6 @@ class TestChromeExport:
 
 
 class TestDisabledTracing:
-    def test_null_tracer_is_inert(self):
-        null = NullTracer()
-        null.complete("x", 0.0, 1.0)
-        null.instant("x", 0.0)
-        null.begin("x", 0.0)
-        null.end(0.0)
-        null.async_begin("x", 1, 0.0)
-        null.async_end("x", 1, 0.0)
-        null.counter("x", 0.0, {"v": 1})
-        null.record_callback(0.0, "f")
-        assert len(null) == 0
-        assert null.to_chrome() == {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def test_scheduler_normalizes_disabled_tracer_to_none(self):
-        sched = EventScheduler(tracer=NULL_TRACER)
-        assert sched.tracer is None
-        sched = EventScheduler()
-        assert sched.set_tracer(NullTracer()) is None
-        assert sched.tracer is None
-
     def test_untraced_scheduler_records_nothing(self):
         sched = EventScheduler()
         sched.schedule(1e-6, lambda: None)

@@ -5,8 +5,8 @@ cancelled entries incrementally, compacts lazily when dead entries
 dominate, and fuses the run loop.  These tests pin the observable
 contract of all of that: execution order is unchanged, ``pending()`` is
 exact under heavy cancellation, the heap cannot grow unbounded with
-cancelled RTO-style timers, and instance-level ``step`` shadowing
-(SimSanitizer) still sees every event.
+cancelled RTO-style timers, and a hook registered with ``observe()``
+(the tracer, SimSanitizer) sees every event.
 """
 
 import pytest
@@ -211,6 +211,8 @@ class TestRunStepEquivalence:
         sched.schedule_call(2.5e-6, lambda: log.append((sched.now, "bare")))
 
     def test_fused_run_matches_manual_stepping(self):
+        # Splitting the event budget into one-event run() calls cannot
+        # change what runs, in what order, or at what sim time.
         fused_log = []
         fused = EventScheduler()
         self._workload(fused, fused_log)
@@ -219,7 +221,7 @@ class TestRunStepEquivalence:
         stepped_log = []
         stepped = EventScheduler()
         self._workload(stepped, stepped_log)
-        while stepped.step():
+        while stepped.run(max_events=1):
             pass
 
         assert fused_log == stepped_log
@@ -227,17 +229,11 @@ class TestRunStepEquivalence:
         assert fused.events_executed == stepped.events_executed
 
     def test_step_shadow_intercepts_every_event(self):
-        # SimSanitizer instance-shadows step(); run() must detect the
-        # shadow and route every event through it.
+        # A hook registered with observe() sees every executed event,
+        # same-timestamp batches included, after its callback.
         sched = EventScheduler()
         seen = []
-        original_step = sched.step
-
-        def shadow():
-            seen.append(sched.peek_time())
-            return original_step()
-
-        sched.step = shadow
+        sched.observe(lambda event_time, callback: seen.append(event_time))
         fired = []
         for i in range(5):
             sched.schedule(i * 1e-6, lambda i=i: fired.append(i))
@@ -249,13 +245,7 @@ class TestRunStepEquivalence:
     def test_step_shadow_respects_until_and_budget(self):
         sched = EventScheduler()
         calls = []
-        original_step = sched.step
-
-        def shadow():
-            calls.append(sched.now)
-            return original_step()
-
-        sched.step = shadow
+        sched.observe(lambda event_time, callback: calls.append(sched.now))
         for i in range(10):
             sched.schedule(i * 1.0, lambda: None)
         assert sched.run(until=4.5) == 5

@@ -2,27 +2,44 @@
 
 import pytest
 
+from repro.obs import Tracer
+from repro.obs.determinism import trace_digest
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import EventScheduler, SanitizerError, SimSanitizer
 
 
 class TestAttachDetach:
     def test_attach_wraps_and_detach_restores(self):
+        def rewind():
+            sched.now = 0.5
+
         sched = EventScheduler()
-        original_step = sched.step
         sanitizer = SimSanitizer(sched)
         assert sanitizer.attach() is sanitizer
-        assert sched.step is not original_step
+        sched.schedule(1.0, rewind)
+        with pytest.raises(SanitizerError, match="backwards inside"):
+            sched.run()
         sanitizer.detach()
-        assert sched.step.__func__ is EventScheduler.step
+        sched.schedule(1.0, rewind)
+        assert sched.run() == 1
 
     def test_attach_is_idempotent(self):
         sched = EventScheduler()
-        sanitizer = SimSanitizer(sched).attach()
-        wrapped = sched.step
+        sanitizer = SimSanitizer(sched)
+        checked = []
+        check_event = sanitizer._check_event
+        sanitizer._check_event = lambda event_time, callback: (
+            checked.append(event_time), check_event(event_time, callback))
         sanitizer.attach()
-        assert sched.step is wrapped
+        sanitizer.attach()
+        for delay in (1.0, 2.0):
+            sched.schedule(delay, lambda: None)
+        sched.run()
+        assert checked == [1.0, 2.0]  # each event checked once
         sanitizer.detach()
+        sched.schedule(1.0, lambda: None)
+        sched.run()
+        assert checked == [1.0, 2.0]
 
     def test_wrapped_scheduler_still_runs(self):
         sched = EventScheduler()
@@ -64,6 +81,53 @@ class TestClock:
         sched.schedule(1.0, rewind)
         with pytest.raises(SanitizerError, match="backwards"):
             sched.run()
+
+
+    def test_backwards_clock_inside_same_timestamp_batch_detected(self):
+        # Events sharing a timestamp drain in run()'s batched inner loop;
+        # the sanitizer's hook must fire there too.
+        sched = EventScheduler()
+        SimSanitizer(sched).attach()
+        fired = []
+
+        def rewind():
+            fired.append("rewind")
+            sched.now = 0.5
+
+        sched.schedule(1.0, lambda: fired.append("first"))
+        sched.schedule(1.0, rewind)
+        sched.schedule(1.0, lambda: fired.append("after"))
+        with pytest.raises(SanitizerError, match="inside .*rewind: 1 -> 0.5"):
+            sched.run()
+        assert fired == ["first", "rewind"]
+
+
+class TestWithTracer:
+    @staticmethod
+    def _traced_run(sanitize):
+        sched = EventScheduler()
+        tracer = Tracer("sanitized")
+        sched.set_tracer(tracer)
+        if sanitize:
+            SimSanitizer(sched).attach()
+
+        def spawn(i):
+            if i < 40:
+                sched.schedule(1e-6 * (i % 3), lambda: spawn(i + 1))
+
+        for i in range(4):
+            sched.schedule(i * 1e-6, lambda i=i: spawn(i * 10))
+            sched.schedule_call(i * 1e-6, lambda: None)
+        sched.run()
+        return sched, tracer
+
+    def test_one_callback_record_per_event_and_same_digest(self):
+        sched, tracer = self._traced_run(sanitize=True)
+        records = [e for e in tracer.events if e.cat == "callback"]
+        assert len(records) == sched.events_executed
+        assert any(e.cat == "counter" for e in tracer.events)
+        _, plain = self._traced_run(sanitize=False)
+        assert trace_digest(tracer) == trace_digest(plain)
 
 
 class TestEventLeak:
