@@ -32,6 +32,8 @@ digest-identical at every fidelity.
 
 from functools import partial
 
+import numpy as np
+
 from repro import calibration
 from repro.cluster.fidelity import (
     DEFAULT_ADMISSION_BURST_DEPTH,
@@ -271,16 +273,18 @@ class FleetSimulation:
         self._starting = 0
         self._running = 0
         #: Cross-epoch reuse inside the epoch solves, all bit-identical to
-        #: recomputation by construction: sprayed-ring plan rows shared
-        #: by every congestion-epoch FluidSimulation (the incidence
-        #: structure the vectorized solver exposes), per-(job,
-        #: placement) background draw counts plus the repeated-sum table
-        #: their loads collapse onto, and per-(job, failed-links) ring
-        #: penalties.
+        #: recomputation by construction.  Two memos grow with the run:
+        #: sprayed-ring plan rows shared by every congestion-epoch
+        #: FluidSimulation (the incidence structure the vectorized solver
+        #: exposes), and per-(job, failed-links) ring penalties.  The
+        #: background ledger is bounded by the running set: per-link draw
+        #: counts summed over RUNNING jobs' ``job.bg_counts`` (added when
+        #: a job starts running, removed when it finishes), plus the
+        #: repeated-sum table those counts index.
         self._plan_cache = {}
-        self._bg_counts = {}
-        self._bg_partial_sums = [0.0]
         self._penalty_cache = {}
+        self._bg_totals = {}
+        self._bg_partial_sums = [0.0]
 
     # -- workload intake ---------------------------------------------------
 
@@ -416,6 +420,10 @@ class FleetSimulation:
         job.running_time = self.engine.now
         self._starting -= 1
         self._running += 1
+        job.bg_counts = self._background_counts(job)
+        totals = self._bg_totals
+        for link, count in job.bg_counts.items():
+            totals[link] = totals.get(link, 0) + count
         self._recompute_rates()
         now = self.engine.now
         tracker = self.slo.tracker(
@@ -500,6 +508,17 @@ class FleetSimulation:
             job.hosts[slot].stop(container, abnormal=abnormal)
         for host in job.unique_hosts():
             host.release(job.spec.name)
+        totals = self._bg_totals
+        for link, count in job.bg_counts.items():
+            left = totals[link] - count
+            if left:
+                totals[link] = left
+            else:
+                del totals[link]
+        # A finished job's page sample and draw counts are never read
+        # again; dropping them keeps a long run's memory bounded.
+        job.touch_pages = {}
+        job.bg_counts = {}
         job.state = state
         job.end_time = self.engine.now
         self._running -= 1
@@ -648,19 +667,21 @@ class FleetSimulation:
         if cached is not None:
             return cached
         transport = TRANSPORTS[job.spec.transport]
+        failed = set(self.failed_links)
         worst = 0.0
         for rail in range(self.topology.rails):
             for i, src in enumerate(servers):
                 dst = servers[(i + 1) % n]
                 connection_id = job.index * CONNECTION_STRIDE + rail * n + i
-                crossing = 0
-                for path_id in range(transport.path_count):
-                    route = self.topology.route(
-                        src, dst, rail, path_id=path_id,
-                        connection_id=connection_id,
-                    )
-                    if any(link in self.failed_links for link in route):
-                        crossing += 1
+                routes, inverse = self.topology.path_table(
+                    src, dst, rail, transport.path_count, connection_id
+                )
+                paths_per_route = np.bincount(inverse).tolist()
+                crossing = sum(
+                    paths
+                    for route, paths in zip(routes, paths_per_route)
+                    if not failed.isdisjoint(route)
+                )
                 share = effective_loss_rate(1.0, transport.path_count, crossing)
                 worst = max(worst, share)
         penalty = max(0.05, 1.0 - worst)
@@ -668,18 +689,14 @@ class FleetSimulation:
         return penalty
 
     def _background_counts(self, job):
-        """Per-link draw counts of one job's background flows (memoized).
+        """Per-link draw counts of one job's background flows.
 
         Replays exactly the draws :meth:`StaticLoadModel.add_flow` would
         make for this job — same selectors, same ``RngStream`` seeds,
         same routes — but records draw *counts* instead of byte loads.
-        Placement is fixed while a job runs, so the counts are a pure
-        function of (job, placement) and survive across epochs.
+        Placement is fixed while a job runs, so the counts are computed
+        once, when the job starts running (``job.bg_counts``).
         """
-        key = (job.index, tuple(h.name for h in job.unique_hosts()))
-        counts = self._bg_counts.get(key)
-        if counts is not None:
-            return counts
         counts = {}
         for k, host in enumerate(job.unique_hosts()):
             src = host.address
@@ -706,10 +723,9 @@ class FleetSimulation:
                 )
                 for link in route:
                     counts[link] = counts.get(link, 0) + 1
-        self._bg_counts[key] = counts
         return counts
 
-    def _background_rates(self, running):
+    def _background_rates(self):
         """Cross-job storage/checkpoint load per link, in bits/second.
 
         Numerically identical to spraying every running job's flows
@@ -718,16 +734,12 @@ class FleetSimulation:
         float slot's value depends only on its own addition sequence, so
         a link's accumulated load is exactly the repeated sum
         ``S(n) = S(n-1) + _BG_BYTES_PER_DRAW`` evaluated at its combined
-        (integer, exact) draw count.  The partial-sum table is grown once
-        per fleet, which turns each epoch's background pricing into dict
-        merges instead of hundreds of re-sprayed flows.
+        (integer, exact) draw count.  The combined counts are the running
+        ``_bg_totals`` ledger and the partial-sum table is grown once per
+        fleet, so each epoch's background pricing is one table lookup
+        per loaded link instead of hundreds of re-sprayed flows.
         """
-        if not running:
-            return {}
-        totals = {}
-        for job in running:
-            for link, count in self._background_counts(job).items():
-                totals[link] = totals.get(link, 0) + count
+        totals = self._bg_totals
         if not totals:
             return {}
         sums = self._bg_partial_sums
@@ -808,9 +820,9 @@ class FleetSimulation:
         running = [job for job in self.jobs if job.state is JobState.RUNNING]
         multi = [job for job in running if len(job.unique_hosts()) >= 2]
         if multi:
-            fluid = self._fluid_epoch_values(running, multi)
+            fluid = self._fluid_epoch_values(multi)
             if self.fidelity.active(self.engine.now):
-                values = self._solve_packet_epoch(running, multi, fluid)
+                values = self._solve_packet_epoch(multi, fluid)
                 regime = "packet"
             else:
                 values, regime = fluid, "fluid"
@@ -832,7 +844,7 @@ class FleetSimulation:
         self._record("congestion-epoch", running=self._running,
                      links_down=len(self.failed_links))
 
-    def _fluid_epoch_values(self, running, multi):
+    def _fluid_epoch_values(self, multi):
         """The fluid solve for one epoch: {job.index: (iter, dp, bw)}.
 
         Computed exactly as before the hybrid engine existed (same task
@@ -841,7 +853,7 @@ class FleetSimulation:
         contexts from the fluid fair share.
         """
         contended = ContendedTopology(
-            self.topology, self._background_rates(running)
+            self.topology, self._background_rates()
         )
         sim = FluidSimulation(contended, dt=_CONGESTION_DT,
                               seed=self.seed, plan_cache=self._plan_cache)
@@ -856,7 +868,7 @@ class FleetSimulation:
             values[job.index] = (breakdown.total, breakdown.dp, per_gpu)
         return values
 
-    def _solve_packet_epoch(self, running, multi, fluid_values):
+    def _solve_packet_epoch(self, multi, fluid_values):
         """Price a promoted epoch: one packet-level DES window over every
         multi-host DP ring, returning {job.index: (iter, dp, bw)}.
 
@@ -873,7 +885,7 @@ class FleetSimulation:
         window at its floor re-fires the ``cc-collapse`` trigger.
         """
         contended = ContendedTopology(
-            self.topology, self._background_rates(running)
+            self.topology, self._background_rates()
         )
         # Untraced and flightless on purpose: the pricing sim has its own
         # 0-based clock, and like the fluid epochs it is an inner solver —
@@ -940,19 +952,35 @@ class FleetSimulation:
     # -- working-set sampling ----------------------------------------------
 
     def _sample_pages(self, container, region):
-        """A bounded, evenly-strided page sample of the working set."""
-        pages = []
+        """A bounded, evenly-strided page sample of the working set.
+
+        Every ``stride``-th page of the concatenated per-chunk page walks,
+        capped at ``sample_pages``, as a tuple (the shared ATC recognises
+        a repeated touch by the sample's identity).  The walk is not
+        materialised: each chunk's page count and the strided indices
+        falling inside it are computed directly.
+        """
         page = self.atc_page
+        spans = []  # (first page address, page count) per chunk
+        total = 0
         for _, gpa, length in container.gva_to_gpa_chunks(
             region.start, region.length
         ):
-            cursor = gpa - (gpa % page)
-            end = gpa + length
-            while cursor < end:
-                pages.append(cursor)
-                cursor += page
-        stride = max(1, len(pages) // self.sample_pages)
-        return pages[::stride][: self.sample_pages]
+            first = gpa - (gpa % page)
+            count = -(-(gpa + length - first) // page)
+            spans.append((first, count))
+            total += count
+        stride = max(1, total // self.sample_pages)
+        wanted = min(self.sample_pages, -(-total // stride))
+        pages = []
+        base = 0  # walk index of the chunk's first page
+        for first, count in spans:
+            index = -(-base // stride) * stride
+            stop = min(base + count, wanted * stride)
+            pages.extend(first + (i - base) * page
+                         for i in range(index, stop, stride))
+            base += count
+        return tuple(pages)
 
     # -- telemetry ---------------------------------------------------------
 

@@ -25,7 +25,17 @@ class FleetHostError(Exception):
 
 
 class SharedAtc:
-    """One host's RNIC ATC shared across every tenant IOMMU domain."""
+    """One host's RNIC ATC shared across every tenant IOMMU domain.
+
+    A training job touches the same page sample every block, and on a
+    quiet host nothing else reaches the cache between two blocks.  After
+    a touch in which every page hit, the ATC remembers ``(sample,
+    domain, cache generation)``.  When the next touch matches all three
+    (the sample by identity, so callers pass immutable tuples), every
+    page is still cached and re-looking them up in sample order would
+    leave the LRU order as it is, so the lookups are skipped and only
+    the hit counter and the per-hit seconds are charged.
+    """
 
     def __init__(self, iommu, capacity_pages=calibration.ATC_CAPACITY_PAGES,
                  page_size=calibration.GDR_PAGE_BYTES):
@@ -33,6 +43,8 @@ class SharedAtc:
         self.page_size = page_size
         self.cache = TranslationCache(capacity_pages, name="shared-atc")
         self.translation_seconds = 0.0
+        #: ``(sample, domain, generation)`` after the last all-hit touch.
+        self._all_hit = None
 
     def access_many(self, domain_name, das):
         """Translate a page sample of device addresses; returns the hit count.
@@ -41,15 +53,29 @@ class SharedAtc:
         against the host IOMMU (and a table walk past the IOTLB reach)
         and install the reply, evicting some other tenant's page when
         the cache is full.  Bound methods and a local accumulator keep
-        the per-page cost low for fleet-scale iteration touching.
+        the per-page cost low for fleet-scale iteration touching; a
+        repeat of the last all-hit touch skips the lookups (see the
+        class docstring).
         """
-        hits = 0
-        page_size = self.page_size
-        lookup = self.cache.lookup
-        insert = self.cache.insert
-        ats_translate = self.iommu.ats_translate
+        cache = self.cache
         hit_seconds = calibration.ATC_HIT_SECONDS
         translation_seconds = self.translation_seconds
+        last = self._all_hit
+        if (last is not None and last[0] is das and last[1] == domain_name
+                and last[2] == cache.generation):
+            count = len(das)
+            cache.hits += count
+            # One addition per page, in order: the float sum is the one
+            # the lookup loop below would produce.
+            for _ in range(count):
+                translation_seconds += hit_seconds
+            self.translation_seconds = translation_seconds
+            return count
+        hits = 0
+        page_size = self.page_size
+        lookup = cache.lookup
+        insert = cache.insert
+        ats_translate = self.iommu.ats_translate
         for da in das:
             key = (domain_name, da - (da % page_size))
             hit, _ = lookup(key)
@@ -61,11 +87,17 @@ class SharedAtc:
                 insert(key, (result.hpa, result.kind))
                 translation_seconds += hit_seconds + result.latency
         self.translation_seconds = translation_seconds
+        if hits == len(das):
+            self._all_hit = (das, domain_name, cache.generation)
+        else:
+            self._all_hit = None
         return hits
 
     def invalidate_domain(self, domain_name):
         """ATS invalidation when a tenant's container stops."""
         self.cache.invalidate_where(lambda key: key[0] == domain_name)
+        if self._all_hit is not None and self._all_hit[1] == domain_name:
+            self._all_hit = None  # do not keep a stopped tenant's sample
 
     def snapshot(self):
         snap = {}
@@ -119,28 +151,15 @@ class FleetHost:
         )
         self.atc = SharedAtc(self.host.hypervisor.iommu, capacity_pages=atc_capacity)
         self._reservations = {}  # job name -> resource dict
+        # Running totals over _reservations, kept by reserve/release so
+        # placement reads each host's headroom without re-summing.
+        self.gpus_reserved = 0
+        self.dram_reserved = 0
+        self.sfs_reserved = 0
+        self.lut_used = self.lut_base
         self._rnic_cursor = 0
 
     # -- admission ledger --------------------------------------------------
-
-    def _reserved(self, key):
-        return sum(entry[key] for entry in self._reservations.values())
-
-    @property
-    def gpus_reserved(self):
-        return self._reserved("gpus")
-
-    @property
-    def dram_reserved(self):
-        return self._reserved("dram_bytes")
-
-    @property
-    def sfs_reserved(self):
-        return self._reserved("sfs")
-
-    @property
-    def lut_used(self):
-        return self.lut_base + self._reserved("lut_entries")
 
     @property
     def gpus_free(self):
@@ -188,10 +207,20 @@ class FleetHost:
             "sfs": sfs,
             "lut_entries": lut_entries,
         }
+        self.gpus_reserved += gpus
+        self.dram_reserved += int(dram_bytes)
+        self.sfs_reserved += sfs
+        self.lut_used += lut_entries
 
     def release(self, job_name):
         """Return a job's resources to the pool (idempotent)."""
-        return self._reservations.pop(job_name, None)
+        entry = self._reservations.pop(job_name, None)
+        if entry is not None:
+            self.gpus_reserved -= entry["gpus"]
+            self.dram_reserved -= entry["dram_bytes"]
+            self.sfs_reserved -= entry["sfs"]
+            self.lut_used -= entry["lut_entries"]
+        return entry
 
     # -- container lifecycle ----------------------------------------------
 

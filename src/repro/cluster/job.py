@@ -104,7 +104,8 @@ class Job:
         self.startup_seconds = None
         self.hosts = []              # one FleetHost per container, ring order
         self.containers = []         # RunDContainer per placement slot
-        self.touch_pages = {}        # container name -> sampled GPA pages
+        self.touch_pages = {}        # container name -> sampled GPA pages (tuple)
+        self.bg_counts = {}          # link -> background draws, while RUNNING
         self.iterations_done = 0
         #: ``(sim time, iterations in block, seconds/iteration, penalty)``
         #: — the series the failure/recovery assertions read.

@@ -9,13 +9,26 @@ The store is a :class:`collections.OrderedDict`: ``move_to_end`` and
 ``popitem(last=False)`` are C-implemented and stay O(1) under the heavy
 eviction churn of the cyclic Figure 8 access pattern (a plain dict's
 ``next(iter(...))`` degrades by scanning tombstones).
+
+Every method that can change the cache's contents or LRU order bumps
+:attr:`TranslationCache.generation`, so a caller that remembers the
+generation after an all-hit pass can tell that nothing has moved since
+(see :class:`repro.cluster.host.SharedAtc`).
 """
 
 import collections
 
 
 class TranslationCache:
-    """A bounded LRU cache mapping page keys to translation results."""
+    """A bounded LRU cache mapping page keys to translation results.
+
+    ``generation`` counts the calls that may have changed the contents
+    or the LRU order (``lookup``, ``insert``, ``invalidate``,
+    ``invalidate_where``, ``clear``).  If it reads the same at two
+    points, no such call ran in between, so the entries and their LRU
+    order are the same at both; the counters (``hits``, ``misses``, ...)
+    are not part of that state.
+    """
 
     def __init__(self, capacity, name="cache"):
         if capacity <= 0:
@@ -27,6 +40,7 @@ class TranslationCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.generation = 0
 
     def __len__(self):
         return len(self._entries)
@@ -36,6 +50,7 @@ class TranslationCache:
 
     def lookup(self, key):
         """Return ``(hit, value)``; a hit refreshes recency."""
+        self.generation += 1
         value = self._entries.get(key)
         if value is not None or key in self._entries:
             self._entries.move_to_end(key)
@@ -50,6 +65,7 @@ class TranslationCache:
 
     def insert(self, key, value):
         """Insert a translation, evicting the LRU entry if at capacity."""
+        self.generation += 1
         if key in self._entries:
             self._entries.move_to_end(key)
         elif len(self._entries) >= self.capacity:
@@ -59,11 +75,13 @@ class TranslationCache:
 
     def invalidate(self, key):
         """Drop one entry (e.g. on IOMMU unmap); no-op if absent."""
+        self.generation += 1
         if self._entries.pop(key, None) is not None:
             self.invalidations += 1
 
     def invalidate_where(self, predicate):
         """Drop all entries whose key satisfies ``predicate``."""
+        self.generation += 1
         doomed = [key for key in self._entries if predicate(key)]
         for key in doomed:
             del self._entries[key]
@@ -71,6 +89,7 @@ class TranslationCache:
         return len(doomed)
 
     def clear(self):
+        self.generation += 1
         self.invalidations += len(self._entries)
         self._entries.clear()
 

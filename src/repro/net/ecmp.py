@@ -5,9 +5,22 @@ switch hashes the header to pick an uplink.  We model the end-to-end
 effect: ``(flow entropy, path id) -> (plane, aggregation switch)``.  The
 hash must be fast (it runs per simulated packet), deterministic across
 runs, and well-mixed — splitmix64 fits all three.
+:func:`splitmix64_array` is the same mixer over a numpy ``uint64`` array,
+for callers that hash every path id of a flow at once.
 """
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_U64 = np.uint64
+# splitmix64 constants, pre-wrapped so splitmix64_array stays in uint64
+# (numpy wraps on overflow exactly like the ``& _MASK64`` in splitmix64).
+_SM_GAMMA = _U64(0x9E3779B97F4A7C15)
+_SM_MUL1 = _U64(0xBF58476D1CE4E5B9)
+_SM_MUL2 = _U64(0x94D049BB133111EB)
+_SM_S30 = _U64(30)
+_SM_S27 = _U64(27)
+_SM_S31 = _U64(31)
 
 
 def splitmix64(value):
@@ -16,6 +29,14 @@ def splitmix64(value):
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
     return value ^ (value >> 31)
+
+
+def splitmix64_array(values):
+    """:func:`splitmix64` over a ``uint64`` array, bit-identical per lane."""
+    v = values + _SM_GAMMA
+    v = (v ^ (v >> _SM_S30)) * _SM_MUL1
+    v = (v ^ (v >> _SM_S27)) * _SM_MUL2
+    return v ^ (v >> _SM_S31)
 
 
 def hash_combine(*values):

@@ -32,7 +32,7 @@ from scipy import sparse
 
 from repro import calibration
 from repro.core.spray import make_selector
-from repro.net.ecmp import flow_entropy, hash_combine
+from repro.net.ecmp import flow_entropy
 from repro.sim.rng import RngStream
 
 #: Selector draws per step used to estimate feedback-driven weights.
@@ -44,27 +44,6 @@ _CONGESTION_UTILIZATION = 0.95
 #: Analytic-weight algorithms: the per-packet distribution over path ids
 #: is uniform, so bucket weights follow directly from the hash map.
 _ANALYTIC = {"rr", "obs"}
-
-_MASK64 = (1 << 64) - 1
-_U64 = np.uint64
-# splitmix64 constants, pre-wrapped so the vector mixer below stays in
-# uint64 (numpy wraps on overflow exactly like the `& _MASK64` in
-# repro.net.ecmp.splitmix64 — the two produce identical streams).
-_SM_GAMMA = _U64(0x9E3779B97F4A7C15)
-_SM_MUL1 = _U64(0xBF58476D1CE4E5B9)
-_SM_MUL2 = _U64(0x94D049BB133111EB)
-_SM_S30 = _U64(30)
-_SM_S27 = _U64(27)
-_SM_S31 = _U64(31)
-
-
-def _splitmix64_vec(values):
-    """Vector splitmix64: bit-identical to ``ecmp.splitmix64`` per lane."""
-    v = values + _SM_GAMMA
-    v = (v ^ (v >> _SM_S30)) * _SM_MUL1
-    v = (v ^ (v >> _SM_S27)) * _SM_MUL2
-    return v ^ (v >> _SM_S31)
-
 
 class FluidFlow:
     """One long-lived transfer between two servers on one rail.
@@ -330,48 +309,25 @@ class FluidSimulation:
     def _analytic_plan(self, flow):
         """Vectorized uniform-spray plan: ECMP-hash all P paths at once.
 
-        Replicates ``topology.route`` link-for-link: plane alternates
-        with (path id + entropy), the agg switch comes from the same
-        splitmix64 chain ``EcmpHasher.bucket`` runs — but hashed as one
-        uint64 array instead of P Python calls, and resolved through the
-        <= planes x aggs distinct (plane, agg) pairs instead of P routes.
+        Replicates ``topology.route`` link-for-link through
+        ``topology.path_table``: one uint64 hash round over all P path
+        ids, resolved through the <= planes x aggs distinct routes
+        instead of P ``route`` calls.
         """
         topo = self.topology
         src, dst, rail = flow.src, flow.dst, flow.rail
         if src == dst:
             raise ValueError("route to self: %r" % (src,))
-        planes = topo.planes
-        aggs = topo.aggs_per_plane
         count = flow.path_count
-        path = np.arange(count, dtype=np.int64)
-        plane = (path % planes + flow.entropy % planes) % planes
-        if src.segment == dst.segment:
-            codes, inverse = np.unique(plane, return_inverse=True)
-            table = np.empty((len(codes), 2), dtype=np.int64)
-            for u, code in enumerate(codes):
-                pl = int(code)
-                table[u, 0] = self._link_id(topo.host_up(src, rail, pl))
-                table[u, 1] = self._link_id(topo.host_down(dst, rail, pl))
-        else:
-            # hash_combine(entropy, p) == splitmix64(state ^ p) with the
-            # entropy already folded into ``state`` — one scalar round,
-            # then a vector round over all path ids.
-            state = _U64(hash_combine(flow.entropy))
-            hashed = _splitmix64_vec(state ^ path.astype(np.uint64))
-            bucket = (hashed % _U64(planes * aggs)).astype(np.int64)
-            agg = bucket % aggs
-            codes, inverse = np.unique(plane * aggs + agg, return_inverse=True)
-            table = np.empty((len(codes), 4), dtype=np.int64)
-            for u, code in enumerate(codes):
-                pl = int(code // aggs)
-                ag = int(code % aggs)
-                table[u, 0] = self._link_id(topo.host_up(src, rail, pl))
-                table[u, 1] = self._link_id(
-                    topo.tor_up(src.segment, rail, pl, ag))
-                table[u, 2] = self._link_id(
-                    topo.tor_down(dst.segment, rail, pl, ag))
-                table[u, 3] = self._link_id(topo.host_down(dst, rail, pl))
-        flat = table[inverse.ravel()].ravel()
+        routes, inverse = topo.path_table(src, dst, rail, count,
+                                          flow.connection_id)
+        # Link ids are handed out in the table's (plane, agg) order; the
+        # solver's column order, and so every digest, depends on it.
+        table = np.array(
+            [[self._link_id(link) for link in route] for route in routes],
+            dtype=np.int64,
+        )
+        flat = table[inverse].ravel()
         share = np.full(len(flat), 1.0 / count)
         return self._accumulate_row(flat, share)
 

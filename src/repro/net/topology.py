@@ -19,8 +19,15 @@ topology is pure structure — the packet/fluid simulators attach state
 (queues, rates) to the link names it hands out.
 """
 
+import numpy as np
+
 from repro import calibration
-from repro.net.ecmp import EcmpHasher, flow_entropy
+from repro.net.ecmp import (
+    EcmpHasher,
+    flow_entropy,
+    hash_combine,
+    splitmix64_array,
+)
 
 
 class LinkRef:
@@ -201,6 +208,69 @@ class DualPlaneTopology:
         agg = self._hasher.bucket(entropy, path_id) % self.aggs_per_plane
         return plane, agg
 
+    def path_choices(self, src, dst, path_count, connection_id=0):
+        """``(plane, agg)`` int64 arrays over path ids ``0..path_count-1``.
+
+        Element ``p`` equals :meth:`ecmp_choice` for path id ``p`` of the
+        ``(src, dst, connection_id)`` flow, but the ECMP hash runs as one
+        vector round over all path ids instead of ``path_count`` Python
+        calls.
+        """
+        entropy = flow_entropy(src.node_id, dst.node_id, connection_id)
+        path = np.arange(path_count, dtype=np.int64)
+        return self._planes(entropy, path), self._aggs(entropy, path)
+
+    def _planes(self, entropy, path):
+        planes = self.planes
+        return (path % planes + entropy % planes) % planes
+
+    def _aggs(self, entropy, path):
+        # hash_combine(entropy, p) is splitmix64(state ^ p) with the
+        # entropy already folded into ``state``.
+        state = np.uint64(hash_combine(entropy))
+        hashed = splitmix64_array(state ^ path.astype(np.uint64))
+        bucket = (hashed % np.uint64(self._hasher.bucket_count)).astype(np.int64)
+        return bucket % self.aggs_per_plane
+
+    def path_table(self, src, dst, rail, path_count, connection_id=0):
+        """The distinct routes of a flow's path ids ``0..path_count-1``.
+
+        Returns ``(routes, inverse)``: ``routes`` lists each distinct
+        route once, in (plane, agg) order, and ``routes[inverse[p]]`` is
+        ``route(src, dst, rail, p, connection_id)``.  Paths that share a
+        (plane, agg) choice share a route, so a 128-path spray needs at
+        most ``planes x aggs`` route resolutions instead of 128, and a
+        same-segment one at most ``planes``.
+        """
+        entropy = flow_entropy(src.node_id, dst.node_id, connection_id)
+        path = np.arange(path_count, dtype=np.int64)
+        aggs = self.aggs_per_plane
+        codes = self._planes(entropy, path) * aggs
+        if src.segment != dst.segment:
+            # Only a cross-segment route reaches the agg layer.
+            codes += self._aggs(entropy, path)
+        codes, inverse = np.unique(codes, return_inverse=True)
+        routes = [
+            self._route_links(src, dst, rail, code // aggs, code % aggs)
+            for code in codes.tolist()
+        ]
+        return routes, inverse.ravel()
+
+    def _route_links(self, src, dst, rail, plane, agg):
+        if src.segment == dst.segment:
+            # Same ToR: host -> ToR -> host; the plane still matters (two
+            # single-plane ToRs), the agg layer is not involved.
+            return (
+                self.host_up(src, rail, plane),
+                self.host_down(dst, rail, plane),
+            )
+        return (
+            self.host_up(src, rail, plane),
+            self.tor_up(src.segment, rail, plane, agg),
+            self.tor_down(dst.segment, rail, plane, agg),
+            self.host_down(dst, rail, plane),
+        )
+
     def route(self, src, dst, rail, path_id=0, connection_id=0):
         """The directed links from ``src`` to ``dst`` on ``rail`` for one
         path id.  Rail-optimized: traffic never changes rails.
@@ -221,20 +291,7 @@ class DualPlaneTopology:
             raise ValueError("route to self: %r" % (src,))
         entropy = flow_entropy(src.node_id, dst.node_id, connection_id)
         plane, agg = self.ecmp_choice(entropy, path_id)
-        if src.segment == dst.segment:
-            # Same ToR: host -> ToR -> host; the plane still matters (two
-            # single-plane ToRs), the agg layer is not involved.
-            route = (
-                self.host_up(src, rail, plane),
-                self.host_down(dst, rail, plane),
-            )
-        else:
-            route = (
-                self.host_up(src, rail, plane),
-                self.tor_up(src.segment, rail, plane, agg),
-                self.tor_down(dst.segment, rail, plane, agg),
-                self.host_down(dst, rail, plane),
-            )
+        route = self._route_links(src, dst, rail, plane, agg)
         self._route_cache[key] = route
         return route
 

@@ -10,16 +10,24 @@ Three scenarios:
   bounded ATC with multi-tenant miss growth, nonzero queue waits).
 """
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import calibration
 from repro.cluster import FleetSimulation, JobSpec, JobState, PlacementPolicy
+from repro.cluster.fleet import CONNECTION_STRIDE
 from repro.core.spray import make_selector
+from repro.net.failure import effective_loss_rate
 from repro.net.loadmodel import StaticLoadModel
 from repro.net.topology import DualPlaneTopology, ServerAddress
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import SimSanitizer
 from repro.sim.rng import RngStream
 from repro.sim.units import GiB, MiB
+from repro.training.trainer import TRANSPORTS
 from repro.workloads.fleet_bench import (
     CHURN_FAILURE_AT,
     CHURN_FAILURE_SECONDS,
@@ -235,11 +243,35 @@ class TestChurnScenario:
 class TestBackgroundLoad:
     """``FleetSimulation._background_rates`` against its docstring claim:
     the per-link load equals spraying every running job's background
-    flows through one shared :class:`StaticLoadModel`."""
+    flows through one shared :class:`StaticLoadModel`.  The running
+    per-link ledger behind it is checked at every epoch."""
 
     def test_equals_static_load_model(self):
         fleet = build_churn_fleet(seed=17)
+        # At every epoch the running ledger must equal a fresh merge of
+        # the RUNNING jobs' draw counts, recomputed from scratch.
+        recompute = fleet._recompute_rates  # simlint: ok L-private
+        epochs = []
+
+        def checked_recompute():
+            fresh = {}
+            for job in fleet.jobs:
+                if job.state is JobState.RUNNING:
+                    counts = fleet._background_counts(job)  # simlint: ok L-private
+                    assert job.bg_counts == counts
+                    for link, count in counts.items():
+                        fresh[link] = fresh.get(link, 0) + count
+                    continue
+                assert job.bg_counts == {}
+                if job.state in (JobState.COMPLETED, JobState.FAILED):
+                    assert job.touch_pages == {}  # finished: sample dropped
+            assert fleet._bg_totals == fresh  # simlint: ok L-private
+            epochs.append(len(fresh))
+            recompute()
+
+        fleet._recompute_rates = checked_recompute  # simlint: ok L-private
         fleet.run(until=100.0)
+        assert epochs and max(epochs) > 0
         running = [job for job in fleet.jobs if job.state is JobState.RUNNING]
         assert running
         topology = fleet.topology
@@ -265,8 +297,134 @@ class TestBackgroundLoad:
         ))
         assert expected
         # The private helper is the unit under test.
-        rates = fleet._background_rates(running)  # simlint: ok L-private
+        rates = fleet._background_rates()  # simlint: ok L-private
         assert rates == expected
+        # Run the churn out: every job leaves RUNNING, and the ledger
+        # drains to empty instead of keeping zero entries.
+        checked = len(epochs)
+        fleet.run()
+        assert len(epochs) > checked
+        assert all(job.state is not JobState.RUNNING for job in fleet.jobs)
+        assert fleet._bg_totals == {}  # simlint: ok L-private
+
+
+def walk_pages(chunks, page, sample_pages):
+    """The page sample as a full walk of every chunk's pages."""
+    pages = []
+    for _, gpa, length in chunks:
+        cursor = gpa - (gpa % page)
+        while cursor < gpa + length:
+            pages.append(cursor)
+            cursor += page
+    stride = max(1, len(pages) // sample_pages)
+    return pages[::stride][:sample_pages]
+
+
+class TestPageSample:
+    FLEET = FleetSimulation(
+        DualPlaneTopology(segments=1, servers_per_segment=1, rails=1),
+        host_config=dict(gpus=2, rnics=1, dram_bytes=8 * GiB,
+                         gpu_hbm_bytes=1 * GiB),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        chunks=st.lists(
+            st.tuples(st.integers(0, 1 << 40),
+                      st.integers(0, 40 * calibration.GDR_PAGE_BYTES)),
+            max_size=12,
+        ),
+        sample_pages=st.integers(1, 300),
+    )
+    def test_strided_arithmetic_matches_the_full_walk(self, chunks,
+                                                      sample_pages):
+        # Unaligned starts and lengths, zero-length chunks, and samples
+        # both smaller and larger than the working set's page count.
+        fleet = self.FLEET
+        fleet.sample_pages = sample_pages
+        triples = [(0, gpa, length) for gpa, length in chunks]
+        container = SimpleNamespace(
+            gva_to_gpa_chunks=lambda start, length: triples
+        )
+        region = SimpleNamespace(start=0, length=0)
+        sample = fleet._sample_pages(container, region)  # simlint: ok L-private
+        assert isinstance(sample, tuple)
+        assert list(sample) == walk_pages(triples, fleet.atc_page, sample_pages)
+
+
+def route_penalty(fleet, job):
+    """``failure_penalty`` counted path by path through ``route()``."""
+    topology = fleet.topology
+    servers = [host.address for host in job.unique_hosts()]
+    n = len(servers)
+    transport = TRANSPORTS[job.spec.transport]
+    worst = 0.0
+    for rail in range(topology.rails):
+        for i, src in enumerate(servers):
+            dst = servers[(i + 1) % n]
+            connection_id = job.index * CONNECTION_STRIDE + rail * n + i
+            crossing = sum(
+                any(link in fleet.failed_links for link in topology.route(
+                    src, dst, rail, path_id=p, connection_id=connection_id))
+                for p in range(transport.path_count)
+            )
+            share = effective_loss_rate(1.0, transport.path_count, crossing)
+            worst = max(worst, share)
+    return max(0.05, 1.0 - worst)
+
+
+class TestFailurePenalty:
+    """``failure_penalty`` (one path table per ring edge, each distinct
+    route tested once) against a per-path ``route()`` count."""
+
+    def fleet(self):
+        topology = DualPlaneTopology(
+            segments=2, servers_per_segment=4, rails=2, planes=2,
+            aggs_per_plane=6,
+        )
+        return FleetSimulation(
+            topology,
+            host_config=dict(gpus=2, rnics=1, dram_bytes=8 * GiB,
+                             gpu_hbm_bytes=1 * GiB),
+        )
+
+    def job(self, fleet, index, transport, addresses):
+        hosts = {host.address: host for host in fleet.scheduler.hosts}
+        ring = [hosts[ServerAddress(*a)] for a in addresses]
+        return SimpleNamespace(
+            index=index, spec=SimpleNamespace(transport=transport),
+            unique_hosts=lambda: ring,
+        )
+
+    @pytest.mark.parametrize("transport", ["stellar", "cx7"])
+    def test_cross_segment_ring_with_tor_down_and_host_link_failed(
+        self, transport
+    ):
+        fleet = self.fleet()
+        topology = fleet.topology
+        job = self.job(fleet, 5, transport, [(0, 1), (1, 2), (0, 3)])
+        src, dst = ServerAddress(0, 1), ServerAddress(1, 2)
+        tor_down = topology.route(
+            src, dst, 1, path_id=0, connection_id=5 * CONNECTION_STRIDE + 3
+        )[2]
+        assert tor_down.kind == "tor_down"
+        fleet.failed_links = [tor_down, topology.host_up(dst, 0, 1)]
+        penalty = fleet.failure_penalty(job)
+        assert penalty < 1.0
+        assert penalty == route_penalty(fleet, job)
+
+    @pytest.mark.parametrize("transport", ["stellar", "cx7"])
+    def test_same_segment_ring(self, transport):
+        fleet = self.fleet()
+        topology = fleet.topology
+        job = self.job(fleet, 2, transport, [(1, 0), (1, 1), (1, 3)])
+        fleet.failed_links = [
+            topology.tor_down(1, 0, 0, 4),  # unused by same-ToR routes
+            topology.host_down(ServerAddress(1, 3), 0, 1),
+        ]
+        penalty = fleet.failure_penalty(job)
+        assert penalty < 1.0
+        assert penalty == route_penalty(fleet, job)
 
 
 class TestFleet1024:

@@ -1,6 +1,8 @@
 """Unit tests for FleetHost admission accounting and the shared ATC."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import FleetHost, FleetHostError
 from repro.net.topology import ServerAddress
@@ -66,6 +68,35 @@ class TestAdmissionLedger:
         host = make_host()
         assert host.can_fit(host.gpu_capacity, 1 * GiB, 1)
         assert not host.can_fit(host.gpu_capacity + 1, 1 * GiB, 1)
+
+
+class TestLedgerTotals:
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("reserve"), st.sampled_from("abcde"),
+                  st.integers(0, 3), st.integers(0, 5), st.integers(0, 40),
+                  st.integers(0, 3)),
+        st.tuples(st.just("release"), st.sampled_from("abcdef")),
+    ), max_size=30))
+    def test_running_totals_equal_a_fresh_sum(self, ops):
+        host = make_host(sf_capacity=64)
+        for op in ops:
+            if op[0] == "reserve":
+                _, name, gpus, dram_gib, sfs, lut = op
+                try:
+                    host.reserve(name, gpus, dram_gib * GiB, sfs,
+                                 lut_entries=lut)
+                except FleetHostError:
+                    pass  # duplicate or over capacity: nothing committed
+            else:
+                host.release(op[1])
+            entries = host._reservations.values()  # simlint: ok L-private
+            assert host.gpus_reserved == sum(e["gpus"] for e in entries)
+            assert host.dram_reserved == sum(e["dram_bytes"] for e in entries)
+            assert host.sfs_reserved == sum(e["sfs"] for e in entries)
+            assert host.lut_used == host.lut_base + sum(
+                e["lut_entries"] for e in entries
+            )
 
 
 class TestContainerLifecycle:

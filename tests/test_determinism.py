@@ -14,6 +14,7 @@ from repro.obs.determinism import (
     trace_digest,
 )
 from repro.obs.trace import Tracer
+from tests.contract_digests import assert_pinned
 
 
 class TestDigests:
@@ -68,9 +69,13 @@ class TestDoubleRunProbe:
         assert report.ok
         assert report.describe().startswith("deterministic")
 
+    def test_matches_the_pinned_contract_digests(self, report):
+        assert_pinned("probe", 17, report.fingerprints[0])
+
     def test_different_seed_changes_the_fingerprint(self, report):
         other = probe_fingerprint(seed=18)
         assert other.metrics_digest != report.fingerprints[0].metrics_digest
+        assert_pinned("probe", 18, other)
 
     def test_mismatch_reporting_names_the_metric(self):
         fp_a = probe_fingerprint(seed=17)
@@ -114,6 +119,10 @@ class TestFleetDeterminism:
         assert smoke_report.cross_seed_distinct
         assert smoke_report.ok
 
+    def test_matches_the_pinned_contract_digests(self, smoke_report):
+        for seed, report in smoke_report.reports.items():
+            assert_pinned("smoke", seed, report.fingerprints[0])
+
     def test_churn_scenario_double_run_is_digest_equal(self):
         from repro.obs.determinism import check_fleet_determinism
 
@@ -124,6 +133,7 @@ class TestFleetDeterminism:
         assert inner.trace_match
         assert inner.metric_mismatches == []
         assert inner.fingerprints[0].trace_events > 0
+        assert_pinned("churn", 17, inner.fingerprints[0])
 
     def test_rejects_single_fleet_run(self):
         from repro.obs.determinism import check_fleet_determinism

@@ -25,6 +25,7 @@ from repro.obs.trace import Tracer
 from repro.sim import SimSanitizer
 from repro.sim.sanitizer import SanitizerError
 from repro.workloads.fleet_bench import build_churn_fleet, run_fleet_smoke
+from tests.contract_digests import assert_pinned
 
 
 class TestControllerStateMachine:
@@ -203,6 +204,8 @@ class TestHybridParityAndDeterminism:
         report = check_fleet_determinism(seeds=(17, 23), runs=2,
                                          scenario="hybrid")
         assert report.ok, report.describe()
+        for seed, inner in report.reports.items():
+            assert_pinned("hybrid", seed, inner.fingerprints[0])
 
 
 def _lossy_churn(fidelity):

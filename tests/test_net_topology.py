@@ -1,6 +1,9 @@
 """Unit tests for topology, ECMP hashing, and the static load model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import make_selector
 from repro.net import (
@@ -12,6 +15,7 @@ from repro.net import (
     hash_combine,
     splitmix64,
 )
+from repro.net.ecmp import splitmix64_array
 from repro.sim.rng import RngStream
 from repro.sim.units import GB
 
@@ -43,6 +47,68 @@ class TestEcmp:
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
             EcmpHasher(0)
+
+
+class TestPathChoices:
+    """``path_choices`` (one vector hash round) against ``ecmp_choice``
+    (one scalar call per path id), element for element."""
+
+    TOPOLOGY = DualPlaneTopology(
+        segments=3, servers_per_segment=5, rails=2, planes=2, aggs_per_plane=7
+    )
+
+    def scalar(self, src, dst, path_count, connection_id):
+        entropy = flow_entropy(src.node_id, dst.node_id, connection_id)
+        return [self.TOPOLOGY.ecmp_choice(entropy, p) for p in range(path_count)]
+
+    def vector(self, src, dst, path_count, connection_id):
+        plane, agg = self.TOPOLOGY.path_choices(
+            src, dst, path_count, connection_id
+        )
+        assert plane.dtype == agg.dtype == np.int64
+        return list(zip(plane.tolist(), agg.tolist()))
+
+    def test_splitmix64_array_matches_scalar_at_the_edges(self):
+        values = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, 0x9E3779B97F4A7C15]
+        mixed = splitmix64_array(np.array(values, dtype=np.uint64))
+        assert [int(v) for v in mixed] == [splitmix64(v) for v in values]
+
+    def test_entropies_on_both_sides_of_two_to_the_63(self):
+        src, dst = ServerAddress(0, 1), ServerAddress(2, 3)
+        seen = set()
+        for connection_id in range(64):
+            entropy = flow_entropy(src.node_id, dst.node_id, connection_id)
+            seen.add(entropy >= 1 << 63)
+            assert (self.vector(src, dst, 128, connection_id)
+                    == self.scalar(src, dst, 128, connection_id))
+        assert seen == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        src=st.tuples(st.integers(0, 2), st.integers(0, 4)),
+        dst=st.tuples(st.integers(0, 2), st.integers(0, 4)),
+        path_count=st.integers(0, 160),
+        connection_id=st.integers(0, (1 << 64) - 1),
+    )
+    def test_every_path_id_matches_ecmp_choice(self, src, dst, path_count,
+                                               connection_id):
+        # Same-segment pairs included: the agg choice is still defined
+        # there, the route just does not use it.
+        src, dst = ServerAddress(*src), ServerAddress(*dst)
+        assert (self.vector(src, dst, path_count, connection_id)
+                == self.scalar(src, dst, path_count, connection_id))
+
+    def test_path_table_resolves_each_path_to_its_route(self):
+        topo = self.TOPOLOGY
+        for src, dst in [(ServerAddress(0, 0), ServerAddress(0, 4)),
+                         (ServerAddress(0, 0), ServerAddress(2, 1))]:
+            routes, inverse = topo.path_table(src, dst, 1, 32,
+                                              connection_id=9)
+            assert len(set(routes)) == len(routes)  # each route once
+            assert [routes[u] for u in inverse.tolist()] == [
+                topo.route(src, dst, 1, path_id=p, connection_id=9)
+                for p in range(32)
+            ]
 
 
 class TestTopology:
