@@ -27,14 +27,31 @@ class FleetHostError(Exception):
 class SharedAtc:
     """One host's RNIC ATC shared across every tenant IOMMU domain.
 
-    A training job touches the same page sample every block, and on a
-    quiet host nothing else reaches the cache between two blocks.  After
-    a touch in which every page hit, the ATC remembers ``(sample,
-    domain, cache generation)``.  When the next touch matches all three
-    (the sample by identity, so callers pass immutable tuples), every
-    page is still cached and re-looking them up in sample order would
-    leave the LRU order as it is, so the lookups are skipped and only
-    the hit counter and the per-hit seconds are charged.
+    Two kinds of touch skip the per-page lookup loop:
+
+    - *Cold touch.*  When the cache holds no page of the domain (its
+      first touch since launch) and the sample's pages are distinct,
+      every lookup would miss and insert.  The ATC asks the IOMMU for
+      all replies at once (:meth:`repro.memory.iommu.Iommu.ats_translate_many`,
+      which also charges the IOTLB in one batch when it too is cold for
+      the domain) and installs them with one
+      :meth:`~repro.memory.caches.TranslationCache.insert_cold`.  The
+      ATC and the IOTLB are disjoint state, so charging the IOTLB for
+      the whole sample before the ATC reorders operations only across
+      the two caches, never within one.  The one difference from the
+      loop: if a page is unmapped, the :class:`PageFault` propagates
+      before the ATC is charged for the pages ahead of it.
+    - *Repeated touch.*  A training job touches the same page sample
+      every block, and on a quiet host nothing else reaches the cache
+      between two blocks.  After a touch in which every page hit, or a
+      cold touch that fit in the cache, the sample's pages are the most
+      recently used entries, in sample order, and the ATC remembers
+      ``(sample, domain, cache generation)``.  When the next touch
+      matches all three (the sample by identity, so callers pass
+      immutable tuples), every page is still cached and re-looking them
+      up in sample order would leave the LRU order as it is, so the
+      lookups are skipped and only the hit counter and the per-hit
+      seconds are charged.
     """
 
     def __init__(self, iommu, capacity_pages=calibration.ATC_CAPACITY_PAGES,
@@ -43,7 +60,8 @@ class SharedAtc:
         self.page_size = page_size
         self.cache = TranslationCache(capacity_pages, name="shared-atc")
         self.translation_seconds = 0.0
-        #: ``(sample, domain, generation)`` after the last all-hit touch.
+        #: ``(sample, domain, generation)`` while the sample is the MRU
+        #: end of the cache in sample order (see the class docstring).
         self._all_hit = None
 
     def access_many(self, domain_name, das):
@@ -54,8 +72,8 @@ class SharedAtc:
         and install the reply, evicting some other tenant's page when
         the cache is full.  Bound methods and a local accumulator keep
         the per-page cost low for fleet-scale iteration touching; a
-        repeat of the last all-hit touch skips the lookups (see the
-        class docstring).
+        domain's cold first touch and a repeated touch skip the lookups
+        (see the class docstring).
         """
         cache = self.cache
         hit_seconds = calibration.ATC_HIT_SECONDS
@@ -71,8 +89,26 @@ class SharedAtc:
                 translation_seconds += hit_seconds
             self.translation_seconds = translation_seconds
             return count
-        hits = 0
         page_size = self.page_size
+        if not cache.holds_domain(domain_name):
+            pages = [da - (da % page_size) for da in das]
+            if len(set(pages)) == len(pages):
+                values, latencies = self.iommu.ats_translate_many(
+                    domain_name, pages
+                )
+                cache.insert_cold(domain_name, pages, values)
+                # One addition per page, in sample order, as in the loop.
+                for latency in latencies:
+                    translation_seconds += hit_seconds + latency
+                self.translation_seconds = translation_seconds
+                # The sample is now the MRU end of the cache in sample
+                # order, as after an all-hit touch, unless it outgrew it.
+                if len(pages) <= cache.capacity:
+                    self._all_hit = (das, domain_name, cache.generation)
+                else:
+                    self._all_hit = None
+                return 0
+        hits = 0
         lookup = cache.lookup
         insert = cache.insert
         ats_translate = self.iommu.ats_translate
@@ -95,7 +131,7 @@ class SharedAtc:
 
     def invalidate_domain(self, domain_name):
         """ATS invalidation when a tenant's container stops."""
-        self.cache.invalidate_where(lambda key: key[0] == domain_name)
+        self.cache.invalidate_domain(domain_name)
         if self._all_hit is not None and self._all_hit[1] == domain_name:
             self._all_hit = None  # do not keep a stopped tenant's sample
 

@@ -67,7 +67,13 @@ class IommuDomain:
 
 
 class Iommu:
-    """The root-complex IOMMU."""
+    """The root-complex IOMMU.
+
+    The IOTLB keys by ``(domain, page)``.  Unmapping a range and
+    destroying a domain drop only that domain's IOTLB keys through the
+    cache's per-domain index, and :meth:`ats_translate_many` answers a
+    tenant's cold first touch in one batch.
+    """
 
     def __init__(
         self,
@@ -110,7 +116,7 @@ class Iommu:
         domain = self._domains.pop(name, None)
         if domain is None:
             raise KeyError("no IOMMU domain named %r" % name)
-        self.iotlb.invalidate_where(lambda key: key[0] == name)
+        self.iotlb.invalidate_domain(name)
         return domain
 
     def domain(self, name):
@@ -149,10 +155,8 @@ class Iommu:
         hpa = interval.translate(da) if interval else None
         domain.table.unmap_range(da, length)
         domain.unmap_calls += 1
-        lo = align_down(da, self.page_size)
-        hi = da + length
-        self.iotlb.invalidate_where(
-            lambda key: key[0] == domain_name and lo <= key[1] < hi
+        self.iotlb.invalidate_domain(
+            domain_name, align_down(da, self.page_size), da + length
         )
         if hpa is not None:
             domain.pins.unpin(hpa, length)
@@ -205,6 +209,48 @@ class Iommu:
             calibration.ATS_QUERY_SECONDS + calibration.IOTLB_WALK_SECONDS,
             calibration.ATS_QUERY_SECONDS,
         )
+
+    def ats_translate_many(self, domain_name, das):
+        """Answer one ATS request per device address, as a batch.
+
+        Returns ``(values, latencies)``: per address the ``(hpa, kind)``
+        of the reply and its latency, equal to a loop of
+        :meth:`ats_translate` calls, with the same IOTLB state after.
+        When the IOTLB holds no key of the domain and the addresses fall
+        on distinct pages, every request is a miss that installs its
+        page, so the pages are looked up in the domain's table in one
+        batch and installed with one
+        :meth:`~repro.memory.caches.TranslationCache.insert_cold`.
+        Otherwise, or if any page is unmapped, the per-request loop
+        runs, which raises the same :class:`PageFault` at the same
+        address with the same partial IOTLB state.
+        """
+        page_size = self.page_size
+        pages = [da - da % page_size for da in das]
+        domain = self._domains.get(domain_name)
+        if (self.ats_enabled and domain is not None
+                and not self.iotlb.holds_domain(domain_name)
+                and len(set(pages)) == len(pages)):
+            intervals = domain.table.lookup_many(pages)
+            if None not in intervals:
+                values = [
+                    (interval.dst + (page - interval.src), interval.kind)
+                    for interval, page in zip(intervals, pages)
+                ]
+                self.iotlb.insert_cold(domain_name, pages, values)
+                latency = (calibration.ATS_QUERY_SECONDS
+                           + calibration.IOTLB_WALK_SECONDS)
+                if any(da != page for da, page in zip(das, pages)):
+                    values = [(hpa + (da - page), kind) for (hpa, kind), da, page
+                              in zip(values, das, pages)]
+                return values, [latency] * len(values)
+        values = []
+        latencies = []
+        for da in das:
+            result = self.ats_translate(domain_name, da)
+            values.append((result.hpa, result.kind))
+            latencies.append(result.latency)
+        return values, latencies
 
     def __repr__(self):
         return "Iommu(mode=%s, domains=%d, %s)" % (

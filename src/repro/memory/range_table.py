@@ -85,6 +85,32 @@ class RangeMap:
         i = self._index_for(address)
         return self._intervals[i] if i is not None else None
 
+    def lookup_many(self, addresses):
+        """The covering :class:`Interval` (or ``None``) of each address.
+
+        Equal to ``[self.lookup(a) for a in addresses]``; consecutive
+        addresses inside one interval (a working set's page sample)
+        reuse it instead of bisecting again.
+        """
+        starts = self._starts
+        intervals = self._intervals
+        bisect_right = bisect.bisect_right
+        found = []
+        interval = None
+        lo = hi = 0  # [lo, hi) of the last interval found; empty at first
+        for address in addresses:
+            if not lo <= address < hi:
+                i = bisect_right(starts, address) - 1
+                interval = intervals[i] if i >= 0 else None
+                if interval is not None and interval.contains(address):
+                    lo = interval.src
+                    hi = lo + interval.length
+                else:
+                    interval = None
+                    lo = hi = 0
+            found.append(interval)
+        return found
+
     def is_mapped(self, address):
         return self._index_for(address) is not None
 

@@ -32,7 +32,11 @@ class AtcTranslation:
 
 
 class DeviceAtc:
-    """An endpoint's ATC bound to one IOMMU domain via ATS."""
+    """An endpoint's ATC bound to one IOMMU domain via ATS.
+
+    Its cache keys by ``(domain_name, page)`` like every
+    :class:`~repro.memory.caches.TranslationCache`.
+    """
 
     def __init__(
         self,
@@ -50,7 +54,8 @@ class DeviceAtc:
     def translate(self, da):
         """Translate a device address, consulting the ATC then ATS."""
         page = align_down(da, self.page_size)
-        hit, cached = self.cache.lookup(page)
+        key = (self.domain_name, page)
+        hit, cached = self.cache.lookup(key)
         if hit:
             hpa_page, kind = cached
             return AtcTranslation(
@@ -61,7 +66,7 @@ class DeviceAtc:
                 True,
             )
         result = self.iommu.ats_translate(self.domain_name, page)
-        self.cache.insert(page, (result.hpa, result.kind))
+        self.cache.insert(key, (result.hpa, result.kind))
         return AtcTranslation(
             result.hpa + (da - page),
             result.kind,
@@ -72,9 +77,9 @@ class DeviceAtc:
 
     def invalidate_range(self, da, length):
         """Handle an ATS invalidation from the IOMMU (on unmap)."""
-        start = align_down(da, self.page_size)
-        end = align_down(da + length - 1, self.page_size)
-        self.cache.invalidate_where(lambda key: start <= key <= end)
+        self.cache.invalidate_domain(
+            self.domain_name, align_down(da, self.page_size), da + length
+        )
 
     def reset_counters(self):
         self.cache.reset_counters()

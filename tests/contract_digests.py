@@ -6,6 +6,10 @@ fingerprint (the double-run probe, the fleet smoke/churn checks and the
 hybrid churn check) assert it equals the value pinned here, so a change
 that moves simulated behaviour fails in CI instead of in a hand check.
 
+The metrics digest covers each fleet host's shared-ATC snapshot but
+not its IOMMU's IOTLB, so the IOTLB counters of the smoke and churn
+seed-17 runs, summed over hosts, are pinned beside the digests.
+
 When simulated behaviour is meant to change, update the values here
 once, in that change, and log each old -> new pair in CHANGES.md.  The
 one planned case is ROADMAP item 2's semantic-digest re-baseline.
@@ -49,6 +53,33 @@ CONTRACT_DIGESTS = {
         "812ab518fd4559b098039e50d28feeef75f2b1a845361221b4b9a010e1229050",
     ),
 }
+
+
+#: (scenario, seed) -> IOTLB counters summed over the fleet's hosts
+CONTRACT_IOTLB = {
+    ("smoke", 17): {"hits": 0, "misses": 384, "evictions": 0,
+                    "invalidations": 384, "size": 0},
+    ("churn", 17): {"hits": 0, "misses": 18432, "evictions": 0,
+                    "invalidations": 18432, "size": 0},
+}
+
+
+def iotlb_totals(fleet):
+    """A fleet's IOTLB counters, summed over its hosts."""
+    totals = dict.fromkeys(CONTRACT_IOTLB[("smoke", 17)], 0)
+    for host in fleet.scheduler.hosts:
+        snap = host.host.hypervisor.iommu.iotlb.snapshot()
+        for key in totals:
+            totals[key] += snap[key]
+    return totals
+
+
+def assert_pinned_iotlb(scenario, seed, totals):
+    """Assert one run's summed IOTLB counters equal their pinned values."""
+    assert totals == CONTRACT_IOTLB[(scenario, seed)], (
+        "%s seed %d moved off its pinned IOTLB totals: %s"
+        % (scenario, seed, totals)
+    )
 
 
 def assert_pinned(scenario, seed, fingerprint):

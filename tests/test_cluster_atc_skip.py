@@ -1,12 +1,13 @@
-"""The shared ATC's repeated-touch skip against the per-page lookup loop.
+"""The shared ATC's touch fast paths against the per-page lookup loop.
 
 :class:`repro.cluster.host.SharedAtc` skips the lookups of a touch that
 repeats the previous all-hit touch (same sample object, same domain, no
-cache operation since).  These tests run random operation sequences on a
-real ``SharedAtc`` and on a reference copy of the plain per-page loop,
-and require the two to agree, after every operation, on the returned
-hits, every cache counter, ``translation_seconds`` (with ``==``) and the
-LRU order.
+cache operation since), and charges a domain's cold first touch of
+distinct pages in one batch.  These tests run random operation sequences
+on a real ``SharedAtc`` and on a reference copy of the plain per-page
+loop, and require the two to agree, after every operation, on the
+returned hits, every cache counter, ``translation_seconds`` (with
+``==``) and the LRU order; on a real IOMMU, on its IOTLB as well.
 """
 
 import copy
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import calibration
 from repro.cluster.host import SharedAtc
+from repro.memory import Iommu, MemoryKind
 from repro.memory.caches import TranslationCache
 
 PAGE = calibration.GDR_PAGE_BYTES
@@ -36,12 +38,17 @@ class FakeIommu:
             latency=1e-7 * (1 + index % 5) / 3.0,
         )
 
+    def ats_translate_many(self, domain, pages):
+        replies = [self.ats_translate(domain, page) for page in pages]
+        return ([(r.hpa, r.kind) for r in replies],
+                [r.latency for r in replies])
+
 
 class ReferenceAtc:
-    """The per-page loop every touch ran before the skip existed."""
+    """The per-page loop every touch ran before the fast paths existed."""
 
-    def __init__(self, capacity):
-        self.iommu = FakeIommu()
+    def __init__(self, capacity, iommu=None):
+        self.iommu = FakeIommu() if iommu is None else iommu
         self.cache = TranslationCache(capacity, name="reference")
         self.translation_seconds = 0.0
 
@@ -62,7 +69,10 @@ class ReferenceAtc:
         return hits
 
     def invalidate_domain(self, domain):
-        self.cache.invalidate_where(lambda key: key[0] == domain)
+        # Key by key over every page a test can cache, so the reference
+        # does not go through the domain index under test.
+        for index in range(PAGE_INDICES):
+            self.cache.invalidate((domain, index * PAGE))
 
 
 def counters(atc):
@@ -88,7 +98,7 @@ def eviction_order(cache, universe):
 @st.composite
 def scenarios(draw):
     capacity = draw(st.integers(min_value=1, max_value=6))
-    domains = ["d%d" % d for d in range(draw(st.integers(1, 3)))]
+    domains = ["d%d" % d for d in range(draw(st.integers(1, 4)))]
     address = st.tuples(
         st.integers(0, PAGE_INDICES - 1), st.sampled_from([0, 1, PAGE - 1])
     ).map(lambda pair: pair[0] * PAGE + pair[1])
@@ -138,6 +148,19 @@ def between_repeats(capacity, op, before=()):
             list(before) + [touch, touch, op, touch])
 
 
+def cold_touches(capacity, samples, clear_between=False):
+    """A pinned scenario: each sample is the first touch of a fresh domain
+    (page indices; repeated indices make a duplicate page)."""
+    domains = ["d%d" % d for d in range(len(samples))]
+    ops = []
+    for domain, indices in zip(domains, samples):
+        sample = tuple(i * PAGE for i in indices)
+        ops.extend([("touch", domain, sample)] * 2)
+        if clear_between:
+            ops.append(("clear",))
+    return capacity, domains, ops
+
+
 @settings(max_examples=200, deadline=None)
 @given(scenario=scenarios())
 @example(scenario=between_repeats(2, ("lookup", 1, 0),
@@ -146,6 +169,9 @@ def between_repeats(capacity, op, before=()):
 @example(scenario=between_repeats(2, ("invalidate", 0, 0)))
 @example(scenario=between_repeats(2, ("invalidate_page", 0)))
 @example(scenario=between_repeats(2, ("clear",)))
+@example(scenario=cold_touches(2, [(0, 1, 2), (0, 0)]))
+@example(scenario=cold_touches(3, [(0, 1), (2, 3, 4), (1, 3)]))
+@example(scenario=cold_touches(1, [(4, 2, 0)], clear_between=True))
 def test_skip_matches_the_per_page_loop(scenario):
     capacity, domains, ops = scenario
     atc = SharedAtc(FakeIommu(), capacity_pages=capacity)
@@ -163,7 +189,9 @@ def test_skip_matches_the_per_page_loop(scenario):
             ref.invalidate_domain(domains[op[1]])
         elif kind == "invalidate_page":
             for cache in (atc.cache, ref.cache):
-                cache.invalidate_where(lambda key: key[1] == op[1] * PAGE)
+                for domain in domains:
+                    cache.invalidate_domain(domain, op[1] * PAGE,
+                                            (op[1] + 1) * PAGE)
         elif kind in ("clear", "reset_counters"):
             getattr(atc.cache, kind)()
             getattr(ref.cache, kind)()
@@ -213,3 +241,104 @@ class TestSkipIsTaken:
         assert sys.getrefcount(sample) == held - 1  # the ATC let go of it
         assert atc.snapshot()["size"] == 0
         assert atc.access_many("d0", sample) == 0
+
+
+def real_iommu(domains, iotlb_capacity):
+    iommu = Iommu(iotlb_capacity=iotlb_capacity)
+    for n, domain in enumerate(domains):
+        iommu.create_domain(domain)
+        iommu.map(domain, 0, (n + 1) << 32, PAGE_INDICES * PAGE,
+                  kind=MemoryKind.GPU_HBM, pin=False)
+    return iommu
+
+
+def iotlb_state(iommu, universe):
+    iotlb = iommu.iotlb
+    return ((iotlb.hits, iotlb.misses, iotlb.evictions, iotlb.invalidations,
+             len(iotlb)),
+            {key: iotlb.peek(key) for key in universe if key in iotlb},
+            eviction_order(iotlb, universe))
+
+
+@st.composite
+def iommu_scenarios(draw):
+    capacity, domains, ops = draw(scenarios())
+    iotlb_capacity = draw(st.integers(min_value=1, max_value=8))
+    # Interleave IOTLB-only flushes, so an ATC-cold domain may meet a warm
+    # IOTLB and the reverse.
+    flushes = draw(st.lists(
+        st.tuples(st.integers(0, len(ops)), st.integers(0, len(domains) - 1)),
+        max_size=4,
+    ))
+    for at, domain in sorted(flushes, reverse=True):
+        ops.insert(at, ("flush_iotlb", domain))
+    return capacity, iotlb_capacity, domains, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=iommu_scenarios())
+@example(scenario=(4, 8, ["d0", "d1"], [
+    ("touch", "d0", (0, PAGE)), ("invalidate_domain", 0),
+    ("touch", "d0", (0, PAGE)),  # ATC cold, IOTLB warm
+    ("flush_iotlb", 1), ("touch", "d1", (PAGE, 2 * PAGE, 0)),
+]))
+@example(scenario=(6, 2, ["d0"], [("touch", "d0", (0, PAGE, 2 * PAGE))]))
+def test_cold_touch_matches_the_loop_on_a_real_iommu(scenario):
+    """Both caches, ATC and IOTLB, end each step as the per-page loop
+    leaves them, whichever of them is cold for the touched domain."""
+    capacity, iotlb_capacity, domains, ops = scenario
+    atc = SharedAtc(real_iommu(domains, iotlb_capacity),
+                    capacity_pages=capacity)
+    ref = ReferenceAtc(capacity, real_iommu(domains, iotlb_capacity))
+    universe = [(d, i * PAGE) for d in domains for i in range(PAGE_INDICES)]
+    for op in ops:
+        kind = op[0]
+        if kind == "touch":
+            assert atc.access_many(op[1], op[2]) == ref.access_many(
+                op[1], op[2])
+        elif kind == "invalidate_domain":
+            atc.invalidate_domain(domains[op[1]])
+            ref.invalidate_domain(domains[op[1]])
+        elif kind == "flush_iotlb":
+            for iommu in (atc.iommu, ref.iommu):
+                iommu.iotlb.invalidate_domain(domains[op[1]])
+        else:
+            continue  # direct ATC calls are covered above
+        assert counters(atc) == counters(ref)
+        assert (eviction_order(atc.cache, universe)
+                == eviction_order(ref.cache, universe))
+        assert ({key: atc.cache.peek(key) for key in universe}
+                == {key: ref.cache.peek(key) for key in universe})
+        assert (iotlb_state(atc.iommu, universe)
+                == iotlb_state(ref.iommu, universe))
+
+
+class TestColdTouchIsTaken:
+    def test_first_touch_of_distinct_pages_is_one_batch(self):
+        atc = SharedAtc(FakeIommu(), capacity_pages=8)
+        generation = atc.cache.generation
+        sample = (0, PAGE, 2 * PAGE)
+        assert atc.access_many("d0", sample) == 0
+        assert atc.cache.generation == generation + 1  # one insert_cold
+        assert atc.cache.misses == 3 and len(atc.cache) == 3
+        assert atc.access_many("d0", sample) == 3
+        assert atc.cache.generation == generation + 1  # skipped lookups
+
+    def test_a_cold_touch_beyond_capacity_is_not_skipped_next(self):
+        atc = SharedAtc(FakeIommu(), capacity_pages=2)
+        sample = (0, PAGE, 2 * PAGE)
+        assert atc.access_many("d0", sample) == 0  # page 0 evicted
+        assert atc.access_many("d0", sample) == 0  # the loop: all miss
+
+    def test_duplicate_pages_take_the_loop(self):
+        atc = SharedAtc(FakeIommu(), capacity_pages=8)
+        generation = atc.cache.generation
+        assert atc.access_many("d0", (0, 1, PAGE)) == 1  # 0 and 1 share a page
+        assert atc.cache.generation == generation + 5  # 3 lookups, 2 inserts
+
+    def test_a_warm_domain_takes_the_loop(self):
+        atc = SharedAtc(FakeIommu(), capacity_pages=8)
+        atc.access_many("d0", (0,))
+        generation = atc.cache.generation
+        assert atc.access_many("d0", (PAGE, 2 * PAGE)) == 0
+        assert atc.cache.generation == generation + 4

@@ -10,6 +10,7 @@ Three scenarios:
   bounded ATC with multi-tenant miss growth, nonzero queue waits).
 """
 
+import copy
 from types import SimpleNamespace
 
 import pytest
@@ -220,6 +221,26 @@ class TestChurnScenario:
             snap = host.snapshot()
             assert snap["atc"]["size"] <= snap["atc"]["capacity"]
             assert snap["lut_used"] <= snap["lut_capacity"]
+
+    def test_translation_indexes_hold_only_live_domains(self, churn):
+        """Memory stays bounded: a stopped tenant leaves no key and no
+        empty index entry in its host's shared ATC or IOTLB."""
+        fleet, result, registry = churn
+        launched = {c.domain_name for job in result.jobs
+                    for c in job.containers}
+        assert launched
+        for host in fleet.scheduler.hosts:
+            live = {c.domain_name
+                    for c in host.host.hypervisor.containers.values()}
+            for cache in (host.atc.cache, host.host.hypervisor.iommu.iotlb):
+                held = {d for d in launched if cache.holds_domain(d)}
+                assert held <= live, (host.name, cache.name)
+                # Dropping every held domain empties the cache: the
+                # index holds each cached key, and no stale one.
+                probe = copy.deepcopy(cache)
+                for domain in held:
+                    probe.invalidate_domain(domain)
+                assert len(probe) == 0, (host.name, cache.name)
 
     def test_multi_tenant_atc_misses_exceed_single_tenant(self, churn):
         fleet, result, registry = churn

@@ -2,6 +2,7 @@
 reproduce itself byte-for-byte (flattened metrics) and event-for-event
 (trace digest).  Every figure in EXPERIMENTS.md rests on this."""
 
+import contextlib
 import json
 
 import pytest
@@ -14,7 +15,33 @@ from repro.obs.determinism import (
     trace_digest,
 )
 from repro.obs.trace import Tracer
-from tests.contract_digests import assert_pinned
+from tests.contract_digests import (
+    assert_pinned,
+    assert_pinned_iotlb,
+    iotlb_totals,
+)
+
+
+@contextlib.contextmanager
+def recording_iotlb_totals():
+    """Collect the summed IOTLB counters of every fleet the determinism
+    runs build, in run order (the fleet itself is not kept)."""
+    import repro.workloads.fleet_bench as fleet_bench
+
+    totals = []
+
+    def recorded(runner):
+        def run(*args, **kwargs):
+            fleet, result = runner(*args, **kwargs)
+            totals.append(iotlb_totals(fleet))
+            return fleet, result
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("run_churn", "run_fleet_smoke"):
+            patch.setattr(fleet_bench, name,
+                          recorded(getattr(fleet_bench, name)))
+        yield totals
 
 
 class TestDigests:
@@ -102,11 +129,17 @@ class TestDoubleRunProbe:
 
 class TestFleetDeterminism:
     @pytest.fixture(scope="class")
-    def smoke_report(self):
+    def smoke_runs(self):
         from repro.obs.determinism import check_fleet_determinism
 
-        return check_fleet_determinism(seeds=(17, 23), runs=2,
-                                       scenario="smoke")
+        with recording_iotlb_totals() as totals:
+            report = check_fleet_determinism(seeds=(17, 23), runs=2,
+                                             scenario="smoke")
+        return report, totals
+
+    @pytest.fixture(scope="class")
+    def smoke_report(self, smoke_runs):
+        return smoke_runs[0]
 
     def test_each_seed_reproduces(self, smoke_report):
         for seed, report in smoke_report.reports.items():
@@ -123,11 +156,20 @@ class TestFleetDeterminism:
         for seed, report in smoke_report.reports.items():
             assert_pinned("smoke", seed, report.fingerprints[0])
 
+    def test_matches_the_pinned_iotlb_totals(self, smoke_runs):
+        _, totals = smoke_runs
+        assert len(totals) == 4  # seeds 17, 17, 23, 23
+        assert totals[0] == totals[1]
+        assert_pinned_iotlb("smoke", 17, totals[0])
+
     def test_churn_scenario_double_run_is_digest_equal(self):
         from repro.obs.determinism import check_fleet_determinism
 
-        report = check_fleet_determinism(seeds=(17,), runs=2,
-                                         scenario="churn")
+        with recording_iotlb_totals() as totals:
+            report = check_fleet_determinism(seeds=(17,), runs=2,
+                                             scenario="churn")
+        assert totals[0] == totals[1]
+        assert_pinned_iotlb("churn", 17, totals[0])
         assert report.ok, report.describe()
         inner = report.reports[17]
         assert inner.trace_match

@@ -1,6 +1,8 @@
 """Unit tests for the MMU/EPT, IOMMU, ATS, and pinning models."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import calibration
 from repro.memory import (
@@ -15,6 +17,7 @@ from repro.memory import (
     full_pin_seconds,
 )
 from repro.sim.units import GiB, MiB
+from tests.test_cluster_atc_skip import eviction_order
 
 
 def hpa(start, length, kind=MemoryKind.HOST_DRAM):
@@ -183,3 +186,87 @@ class TestIommu:
         iommu.create_domain("big", pin_block_size=1 * GiB)
         cost = iommu.map("big", 0x0, 0x40000000, int(1.6e12), pin=True)
         assert 350 < cost < 430
+
+
+BATCH_PAGE = 4096
+BATCH_PAGES = 6
+BATCH_HOLE = 4  # page index left unmapped in domain "b"
+
+
+def batch_iommu(iotlb_capacity):
+    """Domain "a" maps pages 0-5 in two intervals; "b" maps all but one."""
+    iommu = Iommu(iotlb_capacity=iotlb_capacity)
+    iommu.create_domain("a")
+    iommu.map("a", 0, 0x10_0000, 3 * BATCH_PAGE, pin=False)
+    iommu.map("a", 3 * BATCH_PAGE, 0x90_0000, 3 * BATCH_PAGE,
+              kind=MemoryKind.GPU_HBM, pin=False)
+    iommu.create_domain("b")
+    for index in range(BATCH_PAGES):
+        if index != BATCH_HOLE:
+            iommu.map("b", index * BATCH_PAGE, 0x50_0000 + index * BATCH_PAGE,
+                      BATCH_PAGE, pin=False)
+    return iommu
+
+
+def iotlb_view(iommu):
+    iotlb = iommu.iotlb
+    universe = [(d, i * BATCH_PAGE) for d in "ab" for i in range(BATCH_PAGES)]
+    return ((iotlb.hits, iotlb.misses, iotlb.evictions, iotlb.invalidations),
+            {key: iotlb.peek(key) for key in universe if key in iotlb},
+            eviction_order(iotlb, universe),
+            {d: iotlb.holds_domain(d) for d in "ab"})
+
+
+def per_request_loop(iommu, domain, das):
+    replies = [iommu.ats_translate(domain, da) for da in das]
+    return [(r.hpa, r.kind) for r in replies], [r.latency for r in replies]
+
+
+def outcome(call):
+    try:
+        return call()
+    except PageFault as fault:
+        return ("fault", fault.address, fault.reason)
+
+
+@st.composite
+def batch_programs(draw):
+    address = st.tuples(st.integers(0, BATCH_PAGES - 1),
+                        st.sampled_from([0, 0, 8])).map(
+        lambda pair: pair[0] * BATCH_PAGE + pair[1])
+    domain = st.sampled_from("ab")
+    op = st.one_of(
+        st.tuples(st.just("many"), domain, st.lists(address, max_size=8)),
+        st.tuples(st.just("one"), domain, address),
+        st.tuples(st.just("flush"), domain),
+    )
+    return (draw(st.integers(min_value=1, max_value=6)),
+            draw(st.lists(op, min_size=1, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=batch_programs())
+@example(program=(6, [("many", "a", [0, BATCH_PAGE, 5 * BATCH_PAGE])]))
+@example(program=(2, [("many", "a", [0, BATCH_PAGE, 2 * BATCH_PAGE])]))
+@example(program=(6, [("many", "a", [0, 8, BATCH_PAGE])]))
+@example(program=(6, [("one", "a", 0), ("many", "a", [0, BATCH_PAGE])]))
+@example(program=(6, [("many", "b",
+                       [0, BATCH_HOLE * BATCH_PAGE, BATCH_PAGE])]))
+def test_ats_translate_many_equals_a_loop_of_ats_translate(program):
+    """Same replies, latencies, faults and IOTLB state as one request at a
+    time, on a small IOTLB, warm and cold domains, duplicate pages and an
+    unmapped page."""
+    capacity, ops = program
+    batched, looped = batch_iommu(capacity), batch_iommu(capacity)
+    for op in ops:
+        if op[0] == "many":
+            _, domain, das = op
+            assert outcome(lambda: batched.ats_translate_many(domain, das)) \
+                == outcome(lambda: per_request_loop(looped, domain, das))
+        elif op[0] == "one":
+            for iommu in (batched, looped):
+                outcome(lambda: iommu.ats_translate(op[1], op[2]))
+        else:
+            for iommu in (batched, looped):
+                iommu.iotlb.invalidate_domain(op[1])
+        assert iotlb_view(batched) == iotlb_view(looped)

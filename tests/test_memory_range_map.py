@@ -152,3 +152,19 @@ def test_rangemap_matches_dict_model(ops):
         else:
             assert not rm.is_mapped(page)
     assert rm.mapped_bytes == len(model) * PAGE
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spans=st.lists(
+        st.tuples(st.integers(0, 31), st.integers(1, 4)), max_size=8
+    ),
+    addresses=st.lists(st.integers(-2, 40), max_size=30),
+)
+def test_lookup_many_equals_lookup_per_address(spans, addresses):
+    """Adjacent, gapped and overwritten intervals; addresses in any order,
+    repeated, before the first and past the last interval."""
+    rm = RangeMap()
+    for start, length in spans:
+        rm.map_range(start, 1000 + start, length, overwrite=True)
+    assert rm.lookup_many(addresses) == [rm.lookup(a) for a in addresses]

@@ -187,5 +187,5 @@ class TestDeviceAtc:
         atc.translate(0x0)
         atc.translate(0x1000)
         atc.invalidate_range(0x0, 4096)
-        assert 0x0 not in atc.cache
-        assert 0x1000 in atc.cache
+        assert ("vm0", 0x0) not in atc.cache
+        assert ("vm0", 0x1000) in atc.cache
