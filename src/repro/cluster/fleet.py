@@ -74,6 +74,11 @@ from repro.virt.hypervisor import MemoryMode
 #: an ECMP hash seed (and the failure model can reconstruct any flow).
 CONNECTION_STRIDE = 4096
 
+
+def _ring_connection_id(job, rail, i, n):
+    """Connection id of edge ``i`` of ``job``'s ``n``-host ring on ``rail``."""
+    return job.index * CONNECTION_STRIDE + rail * n + i
+
 #: Floor on measured per-GPU bandwidth — max-min fairness never starves a
 #: flow completely, and iteration times must stay finite.
 _MIN_DP_BANDWIDTH = 1e7
@@ -127,19 +132,30 @@ def quantile(values, q):
 class ContendedTopology:
     """Read-through topology view with background load subtracted.
 
-    The fluid simulator asks ``link_rate`` lazily per link; this wrapper
-    answers with the residual capacity after cross-job storage/checkpoint
-    traffic, floored at 5% so a saturated port still drains.
+    Shares the base topology's link numbering and spray memo; only the
+    capacities differ.  ``link_rates()`` is the residual capacity after
+    cross-job storage/checkpoint traffic, floored at 5% so a saturated
+    port still drains, as one vector over the base's links (the fluid
+    solver's capacities); ``link_rate`` reads one entry of it for the
+    packet simulator.
     """
 
     def __init__(self, base, background_bits_per_second):
         self._base = base
-        self._background = dict(background_bits_per_second)
+        self._background = background_bits_per_second
+        self._rates = np.zeros(0)
+
+    def link_rates(self):
+        rates = self._base.link_rates()
+        if len(self._rates) != len(rates):
+            load = np.zeros(len(rates))
+            for link, bits in self._background.items():
+                load[link.index] = bits
+            self._rates = np.maximum(rates * 0.05, rates - load)
+        return self._rates
 
     def link_rate(self, link):
-        rate = self._base.link_rate(link)
-        load = self._background.get(link, 0.0)
-        return max(rate * 0.05, rate - load)
+        return float(self.link_rates()[link.index])
 
     def __getattr__(self, name):
         return getattr(self._base, name)
@@ -272,17 +288,14 @@ class FleetSimulation:
         self.rate_epochs = 0
         self._starting = 0
         self._running = 0
-        #: Cross-epoch reuse inside the epoch solves, all bit-identical to
-        #: recomputation by construction.  Two memos grow with the run:
-        #: sprayed-ring plan rows shared by every congestion-epoch
-        #: FluidSimulation (the incidence structure the vectorized solver
-        #: exposes), and per-(job, failed-links) ring penalties.  The
-        #: background ledger is bounded by the running set: per-link draw
-        #: counts summed over RUNNING jobs' ``job.bg_counts`` (added when
-        #: a job starts running, removed when it finishes), plus the
+        #: Cross-epoch reuse inside the epoch solves, bit-identical to
+        #: recomputation by construction.  Sprayed-ring plan rows and
+        #: route shares live in the topology's spray memo (one entry per
+        #: distinct ring flow), so the fleet keeps no memo of its own.
+        #: The background ledger is bounded by the running set: per-link
+        #: draw counts summed over RUNNING jobs' ``job.bg_counts`` (added
+        #: when a job starts running, removed when it finishes), plus the
         #: repeated-sum table those counts index.
-        self._plan_cache = {}
-        self._penalty_cache = {}
         self._bg_totals = {}
         self._bg_partial_sums = [0.0]
 
@@ -633,7 +646,7 @@ class FleetSimulation:
                     continue
                 route = self.topology.route(
                     src, dst, 0, path_id=0,
-                    connection_id=job.index * CONNECTION_STRIDE + i,
+                    connection_id=_ring_connection_id(job, 0, i, n),
                 )
                 for link in route:
                     if link.kind == "tor_up":
@@ -657,36 +670,19 @@ class FleetSimulation:
         n = len(servers)
         if n < 2:
             return 1.0
-        # Routes are static and placement is fixed while a job runs, so
-        # the penalty is a pure function of (job, failed-link set) —
-        # memoize it across the repeated repricings of one failure window.
-        key = (job.index, tuple(sorted(
-            (link.kind, link.key) for link in self.failed_links
-        )))
-        cached = self._penalty_cache.get(key)
-        if cached is not None:
-            return cached
         transport = TRANSPORTS[job.spec.transport]
-        failed = set(self.failed_links)
+        failed = [link.index for link in self.failed_links]
         worst = 0.0
         for rail in range(self.topology.rails):
             for i, src in enumerate(servers):
-                dst = servers[(i + 1) % n]
-                connection_id = job.index * CONNECTION_STRIDE + rail * n + i
-                routes, inverse = self.topology.path_table(
-                    src, dst, rail, transport.path_count, connection_id
+                _, _, table, paths = self.topology.spray(
+                    src, servers[(i + 1) % n], rail, transport.path_count,
+                    _ring_connection_id(job, rail, i, n),
                 )
-                paths_per_route = np.bincount(inverse).tolist()
-                crossing = sum(
-                    paths
-                    for route, paths in zip(routes, paths_per_route)
-                    if not failed.isdisjoint(route)
-                )
+                crossing = int(paths[np.isin(table, failed).any(axis=1)].sum())
                 share = effective_loss_rate(1.0, transport.path_count, crossing)
                 worst = max(worst, share)
-        penalty = max(0.05, 1.0 - worst)
-        self._penalty_cache[key] = penalty
-        return penalty
+        return max(0.05, 1.0 - worst)
 
     def _background_counts(self, job):
         """Per-link draw counts of one job's background flows.
@@ -751,25 +747,36 @@ class FleetSimulation:
             for link, count in totals.items()
         }
 
-    def _launch_ring(self, job, sim):
-        transport = TRANSPORTS[job.spec.transport]
-        servers = [h.address for h in job.unique_hosts()]
-        task = RingAllReduceTask(
-            "ring-%s" % job.spec.name,
-            servers,
-            data_bytes=_RING_BYTES,
-            rails=self.topology.rails,
-            algorithm=transport.algorithm,
-            path_count=transport.path_count,
-        )
-        task.launch(sim, continuous=True,
-                    connection_base=job.index * CONNECTION_STRIDE)
-        return task
+    def _ring_bandwidths(self, topology, jobs):
+        """Per-GPU DP-ring bandwidth of each of ``jobs``, in order, from
+        one fluid solve of all their rings on ``topology``.
 
-    def _per_gpu_bandwidth(self, job, task):
-        per_host_gpus = max(1.0, job.spec.gpus / len(job.unique_hosts()))
-        per_gpu = task.bus_bandwidth_bytes() * self.topology.rails / per_host_gpus
-        return max(per_gpu * self.failure_penalty(job), _MIN_DP_BANDWIDTH)
+        No failure penalty and no floor: each caller applies its own.
+        """
+        sim = FluidSimulation(topology, dt=_CONGESTION_DT, seed=self.seed)
+        tasks = []
+        for job in jobs:
+            transport = TRANSPORTS[job.spec.transport]
+            servers = [h.address for h in job.unique_hosts()]
+            task = RingAllReduceTask(
+                "ring-%s" % job.spec.name,
+                servers,
+                data_bytes=_RING_BYTES,
+                rails=self.topology.rails,
+                algorithm=transport.algorithm,
+                path_count=transport.path_count,
+            )
+            task.launch(sim, continuous=True, connection_base=(
+                _ring_connection_id(job, 0, 0, len(servers))))
+            tasks.append(task)
+        sim.run(duration=_CONGESTION_SECONDS)
+        bandwidths = []
+        for job, task in zip(jobs, tasks):
+            per_host_gpus = max(1.0, job.spec.gpus / len(task.servers))
+            bandwidths.append(
+                task.bus_bandwidth_bytes() * self.topology.rails / per_host_gpus
+            )
+        return bandwidths
 
     def _iteration_breakdown(self, job, dp_bandwidth):
         return self.trainer.train(
@@ -795,16 +802,10 @@ class FleetSimulation:
             )
             job.iso_dp_seconds = breakdown.dp
             return breakdown.total
-        sim = FluidSimulation(self.topology, dt=_CONGESTION_DT,
-                              seed=self.seed, plan_cache=self._plan_cache)
-        task = self._launch_ring(job, sim)
-        sim.run(duration=_CONGESTION_SECONDS)
-        per_host_gpus = max(1.0, job.spec.gpus / len(job.unique_hosts()))
-        per_gpu = max(
-            task.bus_bandwidth_bytes() * self.topology.rails / per_host_gpus,
-            _MIN_DP_BANDWIDTH,
+        [bandwidth] = self._ring_bandwidths(self.topology, [job])
+        breakdown = self._iteration_breakdown(
+            job, max(bandwidth, _MIN_DP_BANDWIDTH)
         )
-        breakdown = self._iteration_breakdown(job, per_gpu)
         job.iso_dp_seconds = breakdown.dp
         return breakdown.total
 
@@ -855,15 +856,10 @@ class FleetSimulation:
         contended = ContendedTopology(
             self.topology, self._background_rates()
         )
-        sim = FluidSimulation(contended, dt=_CONGESTION_DT,
-                              seed=self.seed, plan_cache=self._plan_cache)
-        tasks = []
-        for job in multi:
-            tasks.append((job, self._launch_ring(job, sim)))
-        sim.run(duration=_CONGESTION_SECONDS)
         values = {}
-        for job, task in tasks:
-            per_gpu = self._per_gpu_bandwidth(job, task)
+        for job, bandwidth in zip(multi, self._ring_bandwidths(contended, multi)):
+            per_gpu = max(bandwidth * self.failure_penalty(job),
+                          _MIN_DP_BANDWIDTH)
             breakdown = self._iteration_breakdown(job, per_gpu)
             values[job.index] = (breakdown.total, breakdown.dp, per_gpu)
         return values
@@ -920,7 +916,7 @@ class FleetSimulation:
                     algorithm=transport.algorithm,
                     path_count=transport.path_count,
                     mtu=_PRICING_MTU,
-                    connection_id=job.index * CONNECTION_STRIDE + i,
+                    connection_id=_ring_connection_id(job, 0, i, n),
                     cc=WindowCC(
                         init_window=init_window,
                         max_window=_PRICING_MAX_WINDOW,

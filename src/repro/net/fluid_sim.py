@@ -17,12 +17,14 @@ The engine is struct-of-arrays: mutable flow state (transferred bytes,
 finish times, rate accumulators, activity) lives in numpy arrays owned
 by :class:`FluidSimulation`, and :class:`FluidFlow` objects are views
 into those arrays.  Per-flow link weights are kept as canonical sparse
-rows (sorted link-id / weight arrays) built once per static flow, so the
-flow x link incidence matrix is re-assembled only when the active
-membership changes, never per step.  The float semantics of the original
-scalar engine are preserved operation-for-operation (same accumulation
-order, same per-step arithmetic), which keeps every determinism digest
-bit-identical across the vectorization.
+rows (sorted link-index / weight arrays) in the topology's link
+numbering (``LinkRef.index``, capacities from ``topology.link_rates()``),
+built once per static flow, so the flow x link incidence matrix is
+re-assembled only when the active membership changes, never per step.
+The float semantics of the original scalar engine are preserved
+operation-for-operation (same accumulation order, same per-step
+arithmetic), which keeps every determinism digest bit-identical across
+the vectorization.
 """
 
 import collections
@@ -33,6 +35,7 @@ from scipy import sparse
 from repro import calibration
 from repro.core.spray import make_selector
 from repro.net.ecmp import flow_entropy
+from repro.net.topology import link_row
 from repro.sim.rng import RngStream
 
 #: Selector draws per step used to estimate feedback-driven weights.
@@ -87,11 +90,11 @@ class FluidFlow:
         self.entropy = flow_entropy(src.node_id, dst.node_id, connection_id)
         self.selector = make_selector(algorithm, path_count, rng=rng)
         #: Static path distributions (single/RR/OBS) resolve to one
-        #: canonical sparse row (sorted link ids, weights), built lazily
-        #: at the flow's first active step.
+        #: canonical sparse row (sorted link indices, weights), built
+        #: lazily at the flow's first active step.
         self._static = algorithm in _ANALYTIC or algorithm == "single"
         self._plan = None
-        #: Feedback flows: path_id -> link-id array (route order), so
+        #: Feedback flows: path_id -> link-index array (route order), so
         #: re-sampled weights re-use resolved routes.
         self._path_link_ids = {}
         self._sim = None
@@ -131,15 +134,16 @@ class FluidSimulation:
     """Max-min fluid allocation over the dual-plane topology.
 
     ``record_history`` opts into per-step ``FluidFlow.rate_history``
-    lists (unbounded; figure-scale runs only).  ``plan_cache`` accepts a
-    dict shared across simulations on the same topology structure:
-    analytic flow plans are stored in LinkRef terms and re-priced
-    per-simulation, which is what lets fleet congestion epochs skip
-    re-deriving identical path distributions every repricing.
+    lists (unbounded; figure-scale runs only).  Link columns and
+    capacities come from the topology (``LinkRef.index``,
+    ``link_rates()``), and uniform-spray plan rows from its
+    :meth:`~repro.net.topology.DualPlaneTopology.spray` memo, so every
+    simulation on one topology — each fleet congestion epoch, each
+    replayed trace op — shares them instead of re-deriving identical
+    path distributions.
     """
 
-    def __init__(self, topology, dt=0.01, seed=0, record_history=False,
-                 plan_cache=None):
+    def __init__(self, topology, dt=0.01, seed=0, record_history=False):
         self.topology = topology
         self.dt = dt
         self.seed = seed
@@ -147,11 +151,6 @@ class FluidSimulation:
         self.flows = []
         self.steps_run = 0
         self.record_history = record_history
-        self._plan_cache = plan_cache
-        self._link_index = {}
-        self._link_caps = []
-        self._links = []
-        self._caps_arr = np.zeros(0)
         self._rng = RngStream(seed, "fluid-sim")
         #: (active indices, link count, rates, utilization) of the last
         #: solve, reused while the inputs are provably unchanged —
@@ -238,22 +237,6 @@ class FluidSimulation:
             on_phase = always_on | (phase < self._arr_on[:n])
         return np.flatnonzero(started & not_done & on_phase)
 
-    # -- link table -----------------------------------------------------
-
-    def _link_id(self, link):
-        idx = self._link_index.get(link)
-        if idx is None:
-            idx = len(self._link_caps)
-            self._link_index[link] = idx
-            self._link_caps.append(self.topology.link_rate(link))
-            self._links.append(link)
-        return idx
-
-    def _caps_array(self):
-        if len(self._caps_arr) != len(self._link_caps):
-            self._caps_arr = np.asarray(self._link_caps, dtype=float)
-        return self._caps_arr
-
     # -- weights ---------------------------------------------------------
 
     def _flow_paths(self, flow):
@@ -270,31 +253,16 @@ class FluidSimulation:
         return {p: n / _FEEDBACK_SAMPLE_DRAWS for p, n in draws.items()}
 
     def _path_ids(self, flow, path_id):
-        """Link-id array for one resolved path (route order), memoized."""
+        """Link-index array for one resolved path (route order), memoized."""
         ids = flow._path_link_ids.get(path_id)
         if ids is None:
             route = self.topology.route(
                 flow.src, flow.dst, flow.rail,
                 path_id=path_id, connection_id=flow.connection_id,
             )
-            ids = np.array([self._link_id(link) for link in route],
-                           dtype=np.int64)
+            ids = np.array([link.index for link in route], dtype=np.int64)
             flow._path_link_ids[path_id] = ids
         return ids
-
-    @staticmethod
-    def _accumulate_row(flat_ids, flat_vals):
-        """Canonical sparse row from (link id, weight) pairs in path order.
-
-        ``np.add.at`` applies the additions in array order, which is the
-        same accumulation order the scalar engine's ``dict[id] += w``
-        loop used — so repeated-sum floats (k additions of 1/P) come out
-        bit-identical, not merely close.
-        """
-        cols, inverse = np.unique(flat_ids, return_inverse=True)
-        vals = np.zeros(len(cols))
-        np.add.at(vals, inverse.ravel(), flat_vals)
-        return cols, vals
 
     def _feedback_row(self, flow, probs):
         """Sparse row for a feedback flow's freshly sampled distribution."""
@@ -304,35 +272,11 @@ class FluidSimulation:
         vals = np.repeat(
             np.fromiter(probs.values(), dtype=float, count=len(probs)), lens
         )
-        return self._accumulate_row(flat, vals)
-
-    def _analytic_plan(self, flow):
-        """Vectorized uniform-spray plan: ECMP-hash all P paths at once.
-
-        Replicates ``topology.route`` link-for-link through
-        ``topology.path_table``: one uint64 hash round over all P path
-        ids, resolved through the <= planes x aggs distinct routes
-        instead of P ``route`` calls.
-        """
-        topo = self.topology
-        src, dst, rail = flow.src, flow.dst, flow.rail
-        if src == dst:
-            raise ValueError("route to self: %r" % (src,))
-        count = flow.path_count
-        routes, inverse = topo.path_table(src, dst, rail, count,
-                                          flow.connection_id)
-        # Link ids are handed out in the table's (plane, agg) order; the
-        # solver's column order, and so every digest, depends on it.
-        table = np.array(
-            [[self._link_id(link) for link in route] for route in routes],
-            dtype=np.int64,
-        )
-        flat = table[inverse].ravel()
-        share = np.full(len(flat), 1.0 / count)
-        return self._accumulate_row(flat, share)
+        return link_row(flat, vals)
 
     def _build_static_plan(self, flow):
-        """Resolve a static flow's canonical row, via the shared cache."""
+        """Resolve a static flow's canonical row (uniform sprays via the
+        topology's memo)."""
         if flow.algorithm == "single":
             # The selector draw (and its packets_sent side effect) must
             # happen here, at the flow's first active step, exactly as
@@ -343,25 +287,11 @@ class FluidSimulation:
             order = np.argsort(ids, kind="stable")
             flow._plan = (ids[order], np.ones(len(ids))[order])
             return
-        key = None
-        if self._plan_cache is not None:
-            key = (flow.algorithm, flow.path_count, flow.src.node_id,
-                   flow.dst.node_id, flow.rail, flow.connection_id)
-            hit = self._plan_cache.get(key)
-            if hit is not None:
-                refs, vals = hit
-                ids = np.fromiter(
-                    (self._link_id(ref) for ref in refs),
-                    dtype=np.int64, count=len(refs),
-                )
-                order = np.argsort(ids, kind="stable")
-                flow._plan = (ids[order], vals[order])
-                return
-        cols, vals = self._analytic_plan(flow)
+        cols, vals, _, _ = self.topology.spray(
+            flow.src, flow.dst, flow.rail, flow.path_count,
+            flow.connection_id,
+        )
         flow._plan = (cols, vals)
-        if key is not None:
-            refs = tuple(self._links[c] for c in cols)
-            self._plan_cache[key] = (refs, vals.copy())
 
     # -- the max-min allocator ------------------------------------------
 
@@ -431,7 +361,7 @@ class FluidSimulation:
         Incremental re-solve: the max-min allocation depends only on the
         active flow set and their link weights.  When every active flow
         has a static path distribution (single/RR/OBS) and the active set
-        and link table match the previous solve exactly, last step's
+        and link count match the previous solve exactly, last step's
         rates and utilization are bit-identical by construction and are
         reused instead of re-running progressive filling — the dominant
         cost for steady-state collectives and fleet congestion epochs.
@@ -457,7 +387,8 @@ class FluidSimulation:
                 else:
                     probs = self._flow_paths(flow)
                     feedback_rows[i] = (probs, self._feedback_row(flow, probs))
-        link_count = len(self._link_caps)
+        caps = self.topology.link_rates()
+        link_count = len(caps)
         cache = self._solve_cache
         if (
             all_static
@@ -493,7 +424,6 @@ class FluidSimulation:
                     (data, indices, indptr),
                     shape=(len(active_idx), link_count),
                 )
-                caps = self._caps_array()
                 rates = self._max_min_rates_csr(matrix, caps)
                 if link_count:
                     loads = matrix.T @ rates

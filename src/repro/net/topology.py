@@ -15,8 +15,12 @@ Topology model (Section 3.1 problem 6 and Section 7.2 of the paper):
   experiments, so the core is represented only as spare capacity.
 
 Links are directed; a :class:`LinkRef` names one transmit port.  The
-topology is pure structure — the packet/fluid simulators attach state
-(queues, rates) to the link names it hands out.
+topology owns the fabric's one link numbering: every LinkRef it hands
+out carries a dense ``index``, :meth:`DualPlaneTopology.link_rates` is
+the capacity array in that order, and :meth:`DualPlaneTopology.spray`
+memoizes each uniform spray's plan row and route shares in it.  The
+packet/fluid simulators attach their own state (queues, rates) to those
+links.
 """
 
 import numpy as np
@@ -30,21 +34,39 @@ from repro.net.ecmp import (
 )
 
 
+def link_row(flat_ids, flat_vals):
+    """Canonical sparse row from (link index, weight) pairs in path order.
+
+    ``np.add.at`` applies the additions in array order, which is the same
+    accumulation order the scalar engine's ``dict[id] += w`` loop used —
+    so repeated-sum floats (k additions of 1/P) come out bit-identical,
+    not merely close.  Returns ``(sorted link indices, weights)``.
+    """
+    cols, inverse = np.unique(flat_ids, return_inverse=True)
+    vals = np.zeros(len(cols))
+    np.add.at(vals, inverse.ravel(), flat_vals)
+    return cols, vals
+
+
 class LinkRef:
     """A directed link (transmit port) in the fabric.
 
-    LinkRefs key every per-port dict in the packet and fluid simulators,
-    so the hash is computed once at construction and equality tests
-    identity first — the route cache hands out interned instances, which
-    makes the identity test hit on the per-packet fast path.
+    LinkRefs key every per-port dict in the packet simulator, so the hash
+    is computed once at construction and equality tests identity first —
+    the topology hands out interned instances, which makes the identity
+    test hit on the per-packet fast path.  ``index`` is the link's column
+    in its topology's numbering (``link_rates()[index]`` is its
+    capacity); the fluid solver's sparse rows are built from it.
     """
 
-    __slots__ = ("kind", "key", "_hash")
+    __slots__ = ("kind", "key", "index", "_hash")
 
-    # kinds: "host_up", "host_down", "tor_up", "tor_down"
-    def __init__(self, kind, key):
+    # kinds: "host_up", "host_down", "tor_up", "tor_down",
+    # "core_up", "core_down"
+    def __init__(self, kind, key, index):
         self.kind = kind
         self.key = key
+        self.index = index
         self._hash = hash((kind, key))
 
     def __eq__(self, other):
@@ -125,8 +147,14 @@ class DualPlaneTopology:
         self._route_cache = {}
         # Interned LinkRefs: one instance per directed port, so the
         # simulators' per-port dict lookups hit CPython's identity
-        # short-circuit instead of tuple-comparing keys per packet.
+        # short-circuit instead of tuple-comparing keys per packet.  A
+        # link's index is its interning order; _rates[index] its rate.
         self._link_cache = {}
+        self._rates = []
+        self._rates_array = np.zeros(0)
+        # Per-(src, dst, rail, path count, connection) uniform sprays:
+        # one entry per distinct static spray flow, see spray().
+        self._spray_cache = {}
 
     # -- enumeration -------------------------------------------------------
 
@@ -154,7 +182,9 @@ class DualPlaneTopology:
         ident = (kind, key)
         ref = self._link_cache.get(ident)
         if ref is None:
-            ref = self._link_cache[ident] = LinkRef(kind, key)
+            ref = LinkRef(kind, key, len(self._rates))
+            self._link_cache[ident] = ref
+            self._rates.append(self.link_rate(ref))
         return ref
 
     def host_up(self, server, rail, plane):
@@ -179,6 +209,16 @@ class DualPlaneTopology:
             return self.port_rate
         # ToR uplinks and core escape links run at the fabric rate.
         return self.tor_uplink_rate
+
+    def link_rates(self):
+        """Capacity of every link handed out so far, by ``LinkRef.index``.
+
+        The array grows as routes intern new links; it is read-only.
+        """
+        if len(self._rates_array) != len(self._rates):
+            self._rates_array = np.array(self._rates, dtype=float)
+            self._rates_array.flags.writeable = False
+        return self._rates_array
 
     def tor_uplinks(self, segment=None, rail=None):
         """All ToR uplink ports, optionally filtered (for imbalance stats)."""
@@ -256,6 +296,39 @@ class DualPlaneTopology:
         ]
         return routes, inverse.ravel()
 
+    def spray(self, src, dst, rail, path_count, connection_id=0):
+        """A uniform spray over path ids ``0..path_count-1``, memoized.
+
+        Returns ``(cols, vals, table, paths)``.  ``(cols, vals)`` is the
+        flow's canonical plan row: sorted link indices and the summed
+        ``1/path_count`` share each link carries.  Row ``r`` of ``table``
+        holds the link indices of :meth:`path_table`'s route ``r``, and
+        ``paths[r]`` counts the path ids that resolve to it.  Routes are
+        static, so an entry never invalidates; there is one per distinct
+        spray flow, all of it in read-only arrays.
+        """
+        key = (
+            src.segment, src.index, dst.segment, dst.index,
+            rail, path_count, connection_id,
+        )
+        entry = self._spray_cache.get(key)
+        if entry is None:
+            if src == dst:
+                raise ValueError("route to self: %r" % (src,))
+            routes, inverse = self.path_table(src, dst, rail, path_count,
+                                              connection_id)
+            table = np.array(
+                [[link.index for link in route] for route in routes],
+                dtype=np.int64,
+            )
+            flat = table[inverse].ravel()
+            cols, vals = link_row(flat, np.full(len(flat), 1.0 / path_count))
+            entry = (cols, vals, table, np.bincount(inverse))
+            for array in entry:
+                array.flags.writeable = False
+            self._spray_cache[key] = entry
+        return entry
+
     def _route_links(self, src, dst, rail, plane, agg):
         if src.segment == dst.segment:
             # Same ToR: host -> ToR -> host; the plane still matters (two
@@ -316,8 +389,8 @@ class DualPlaneTopology:
         return [
             self.host_up(src, rail, plane),
             self.tor_up(src.segment, rail, plane, agg),
-            LinkRef("core_up", (rail, plane, agg)),
-            LinkRef("core_down", (rail, other_plane, agg)),
+            self._link("core_up", (rail, plane, agg)),
+            self._link("core_down", (rail, other_plane, agg)),
             self.tor_down(dst.segment, rail, other_plane, agg),
             self.host_down(dst, rail, other_plane),
         ]

@@ -34,6 +34,10 @@ _ZERO3_OVERLAP = 0.95         # ZeRO-3 prefetch hides most gathers
 _PP_OVERLAP = 0.50            # pipelining hides half the P2P time
 _EP_OVERLAP = 0.30
 
+#: DP-ring measurement: simulated seconds and fluid step.
+_MEASURE_SECONDS = 0.06
+_MEASURE_DT = 0.01
+
 
 class IterationBreakdown:
     """Where one training iteration's time goes."""
@@ -171,27 +175,19 @@ class TrainingSimulation:
         self.seed = seed
         self.gpus_per_server = gpus_per_server
 
-    def measure_dp_bandwidth(self, gpu_count, placement, transport,
-                             sim_seconds=0.06, dt=0.01, servers=None,
-                             sim=None):
+    def measure_dp_bandwidth(self, gpu_count, placement, transport):
         """Run the job's DP rings on the fabric; return B/s per GPU.
 
-        The ring turns at its slowest member's rate, so the measured
+        ``placement`` picks the ring's servers (:func:`place_job`).  The
+        ring turns at its slowest member's rate, so the measured
         bottleneck rate per RNIC (divided by the GPUs sharing it) is the
         gradient-all-reduce bandwidth the cost model should see.
-
-        ``servers`` overrides the placement-driven server pick with an
-        explicit ring order (the cluster scheduler assigns hosts itself);
-        ``sim`` injects a pre-populated :class:`FluidSimulation` so the
-        measurement can share the fabric with other tenants' traffic.
         """
-        if servers is None:
-            servers = place_job(
-                gpu_count, self.topology, placement,
-                seed=self.seed, gpus_per_server=self.gpus_per_server,
-            )
-        if sim is None:
-            sim = FluidSimulation(self.topology, dt=dt, seed=self.seed)
+        servers = place_job(
+            gpu_count, self.topology, placement,
+            seed=self.seed, gpus_per_server=self.gpus_per_server,
+        )
+        sim = FluidSimulation(self.topology, dt=_MEASURE_DT, seed=self.seed)
         task = RingAllReduceTask(
             "dp-ring",
             servers,
@@ -201,27 +197,26 @@ class TrainingSimulation:
             path_count=transport.path_count,
         )
         task.launch(sim, continuous=True)
-        sim.run(duration=sim_seconds)
+        sim.run(duration=_MEASURE_SECONDS)
         per_rnic = task.bus_bandwidth_bytes()
         gpus_per_rnic = self.gpus_per_server / self.topology.rails
         return per_rnic / gpus_per_rnic
 
     def train(self, model, strategy, framework=Framework.MEGATRON,
               placement=Placement.RANDOM, transport="stellar",
-              secure_container=False, dp_bandwidth=None, servers=None):
+              secure_container=False, dp_bandwidth=None):
         """Full pipeline: measure DP bandwidth, then build the breakdown.
 
         ``dp_bandwidth`` skips the measurement when the caller already
         measured the fabric (the fleet simulation shares one measurement
-        across a congestion epoch); ``servers`` forwards an explicit ring
-        order to :meth:`measure_dp_bandwidth`.
+        across a congestion epoch).
         """
         transport_config = (
             TRANSPORTS[transport] if isinstance(transport, str) else transport
         )
         if dp_bandwidth is None:
             dp_bandwidth = self.measure_dp_bandwidth(
-                strategy.gpus, placement, transport_config, servers=servers
+                strategy.gpus, placement, transport_config
             )
         overhead = VSTELLAR_VIRT_OVERHEAD if secure_container else 0.0
         return iteration_breakdown(

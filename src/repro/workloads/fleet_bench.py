@@ -177,7 +177,7 @@ def smoke_specs():
 #: Paper-scale fleet (Section 2: 512-1024-GPU jobs on the production
 #: HPN cluster).  Same 3-tier dual-plane shape as the 16-host scenario,
 #: scaled to 1024 hosts — the workload the vectorized fluid engine and
-#: the fleet-level plan cache exist for.
+#: the topology's spray memo exist for.
 _FLEET1024_HORIZON = 120.0
 _FLEET1024_FAILURE_AT = 60.0
 _FLEET1024_FAILURE_SECONDS = 20.0

@@ -8,12 +8,18 @@ that moves simulated behaviour fails in CI instead of in a hand check.
 
 The metrics digest covers each fleet host's shared-ATC snapshot but
 not its IOMMU's IOTLB, so the IOTLB counters of the smoke and churn
-seed-17 runs, summed over hosts, are pinned beside the digests.
+seed-17 runs, summed over hosts, are pinned beside the digests.  The
+fleet runs are not the only fluid-solver client: the fluid replay of
+each bundled trace (seed 17, hosts not booted) is pinned as its op
+sequence and exact makespan.
 
 When simulated behaviour is meant to change, update the values here
 once, in that change, and log each old -> new pair in CHANGES.md.  The
 one planned case is ROADMAP item 2's semantic-digest re-baseline.
 """
+
+import hashlib
+import json
 
 #: (scenario, seed) -> (metrics digest, trace digest, flight digest)
 CONTRACT_DIGESTS = {
@@ -62,6 +68,33 @@ CONTRACT_IOTLB = {
     ("churn", 17): {"hits": 0, "misses": 18432, "evictions": 0,
                     "invalidations": 18432, "size": 0},
 }
+
+
+#: bundled trace -> (op-log digest, makespan.hex()) of its fluid replay
+#: at seed 17 without host boot
+CONTRACT_REPLAY = {
+    "moe_training": (
+        "e4e3ec0e61399dd9bc24d67d5114ccc226ddac67ce40ee2768a7bbfdf105e498",
+        "0x1.270e5d770fbd2p-6",
+    ),
+    "rag_pipeline": (
+        "f57e38bc0b72ecf627e336229e019af6d950fe1114ed5b13e0213420fac333e4",
+        "0x1.bcb4958d344a5p-8",
+    ),
+    "checkpoint_burst": (
+        "6b7aa4f159874f88511f9561739e49bd0ed7af8bff853b75290e1ea62a8f1d71",
+        "0x1.ba67bcca17b32p-9",
+    ),
+}
+
+
+def replay_fingerprint(result):
+    """A replay's (op-log digest, makespan.hex()): every op's id, kind,
+    start and end in completion order, plus the unrounded makespan."""
+    text = json.dumps([[entry["id"], entry["kind"], entry["start"],
+                        entry["end"]] for entry in result.op_log])
+    return (hashlib.sha256(text.encode()).hexdigest(),
+            result.makespan.hex())
 
 
 def iotlb_totals(fleet):

@@ -1,5 +1,7 @@
 """Unit tests for topology, ECMP hashing, and the static load model."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,16 +101,59 @@ class TestPathChoices:
                 == self.scalar(src, dst, path_count, connection_id))
 
     def test_path_table_resolves_each_path_to_its_route(self):
-        topo = self.TOPOLOGY
-        for src, dst in [(ServerAddress(0, 0), ServerAddress(0, 4)),
-                         (ServerAddress(0, 0), ServerAddress(2, 1))]:
-            routes, inverse = topo.path_table(src, dst, 1, 32,
+        # Same shape as TOPOLOGY, fresh so every link it numbers is seen
+        # here, with uplinks faster than host ports so a rate read from
+        # the wrong kind of link shows.
+        topo = DualPlaneTopology(
+            segments=3, servers_per_segment=5, rails=2, planes=2,
+            aggs_per_plane=7, port_rate=200e9, tor_uplink_rate=400e9,
+        )
+        handed_out = set()
+        pairs = [(ServerAddress(0, 0), ServerAddress(0, 4)),
+                 (ServerAddress(0, 0), ServerAddress(2, 1))]
+        # 30 paths: 1/30 is inexact, so a share summed in another order
+        # or multiplied out instead of summed shows in the bits.
+        for (src, dst), count in itertools.product(pairs, (32, 30)):
+            routes, inverse = topo.path_table(src, dst, 1, count,
                                               connection_id=9)
-            assert len(set(routes)) == len(routes)  # each route once
-            assert [routes[u] for u in inverse.tolist()] == [
+            per_path = [
                 topo.route(src, dst, 1, path_id=p, connection_id=9)
-                for p in range(32)
+                for p in range(count)
             ]
+            assert len(set(routes)) == len(routes)  # each route once
+            assert [routes[u] for u in inverse.tolist()] == per_path
+            # The memoized spray: its plan row is the per-path
+            # accumulation of route() link indices, in path order, bit
+            # for bit; its route shares count route() path by path.
+            cols, vals, table, paths = topo.spray(src, dst, 1, count, 9)
+            assert topo.spray(src, dst, 1, count, 9)[0] is cols
+            expected = {}
+            for route in per_path:
+                for link in route:
+                    expected[link.index] = (
+                        expected.get(link.index, 0.0) + 1.0 / count
+                    )
+            assert cols.tolist() == sorted(expected)
+            assert [v.hex() for v in vals.tolist()] == [
+                expected[c].hex() for c in sorted(expected)
+            ]
+            assert table.tolist() == [
+                [link.index for link in route] for route in routes
+            ]
+            assert paths.tolist() == [per_path.count(route) for route in routes]
+            handed_out.update(link for route in per_path for link in route)
+            for path_id in range(8):
+                handed_out.update(topo.escape_route(src, dst, 1, path_id))
+        assert {"core_up", "core_down"} <= {link.kind for link in handed_out}
+        # One dense numbering: every interned link, the escape route's
+        # core links included, has its own index, and link_rates() is the
+        # capacity array in that order.
+        rates = topo.link_rates()
+        assert sorted(link.index for link in handed_out) == list(
+            range(len(rates))
+        )
+        for link in handed_out:
+            assert rates[link.index] == topo.link_rate(link)
 
 
 class TestTopology:

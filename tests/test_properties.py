@@ -45,6 +45,37 @@ def test_max_min_never_oversubscribes_links(flows, caps):
 
 @settings(max_examples=40, deadline=None)
 @given(
+    flows=st.lists(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=9),
+                      st.floats(min_value=0.05, max_value=1.0)),
+            min_size=1, max_size=4, unique_by=lambda t: t[0],
+        ),
+        min_size=1, max_size=8,
+    ),
+    caps=st.lists(st.floats(min_value=1e9, max_value=400e9),
+                  min_size=10, max_size=10),
+    order=st.permutations(range(10)),
+)
+def test_max_min_ignores_link_numbering(flows, caps, order):
+    """Renumbering the links — moving each column, with its capacity, to
+    another index — returns bit-identical rates.  The fluid solver's
+    columns follow whatever order a topology numbered its links in, so
+    no rate may depend on it."""
+    rows = [dict(flow) for flow in flows]
+    renumbered = [{order[link]: w for link, w in row.items()} for row in rows]
+    moved_caps = [0.0] * 10
+    for link, cap in enumerate(caps):
+        moved_caps[order[link]] = cap
+    rates = FluidSimulation.max_min_rates(rows, caps)
+    moved = FluidSimulation.max_min_rates(renumbered, moved_caps)
+    assert [r.hex() for r in rates.tolist()] == [
+        r.hex() for r in moved.tolist()
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
     count=st.integers(min_value=1, max_value=6),
     cap=st.floats(min_value=1e9, max_value=400e9),
 )

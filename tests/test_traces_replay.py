@@ -5,6 +5,7 @@ import pytest
 from repro.net import ServerAddress
 from repro.obs import FlightRecorder, MetricsRegistry
 from repro.traces.builders import build_checkpoint_trace, build_moe_trace
+from repro.traces.library import BUNDLED, load_bundled
 from repro.traces.replay import (
     TraceReplayer,
     default_topology,
@@ -18,6 +19,7 @@ from repro.traces.schema import (
     TraceError,
     TraceOp,
 )
+from tests.contract_digests import CONTRACT_REPLAY, replay_fingerprint
 
 
 def chain_trace():
@@ -105,6 +107,15 @@ class TestReplaySemantics:
         result = replay_trace(chain_trace(), boot_hosts=False)
         assert result.op_sequence(kinds=COLLECTIVE_KINDS) == ["ar"]
         assert set(result.op_sequence()) == set(chain_trace().op_ids())
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_fluid_replay_matches_the_pinned_contract(self, name):
+        result = replay_trace(load_bundled(name), fidelity="fluid", seed=17,
+                              boot_hosts=False)
+        assert replay_fingerprint(result) == CONTRACT_REPLAY[name], (
+            "%s's fluid replay moved off its pinned op sequence/makespan"
+            % name
+        )
 
 
 class TestTelemetry:
