@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke hybrid-smoke determinism-smoke figures figures-smoke traces traces-smoke tour examples all clean
+.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke figures-check hybrid-smoke determinism-smoke figures figures-smoke traces traces-smoke tour examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -52,6 +52,13 @@ bench-smoke:
 		PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/test_fig06_startup.py benchmarks/test_fig11_link_failure.py \
 		--benchmark-only -s
+
+# Every paper figure at full size, then a diff of the table mirror
+# against the checked-in benchmark_tables.txt: a change that moves any
+# figure value (or any table title) fails here.
+figures-check:
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q
+	git diff --exit-code benchmark_tables.txt
 
 # Hybrid-fidelity determinism cells (churn scenario priced by the
 # fidelity controller): two seeds, repeat pairs, every pooled row diffed

@@ -24,7 +24,12 @@ from repro.net.packet_sim import (
     PortState,
     run_flows,
 )
-from repro.net.topology import DualPlaneTopology, LinkRef, ServerAddress
+from repro.net.topology import (
+    ConnectionPaths,
+    DualPlaneTopology,
+    LinkRef,
+    ServerAddress,
+)
 
 __all__ = [
     "EcmpHasher",
@@ -47,6 +52,7 @@ __all__ = [
     "PacketNetSim",
     "PortState",
     "run_flows",
+    "ConnectionPaths",
     "DualPlaneTopology",
     "LinkRef",
     "ServerAddress",

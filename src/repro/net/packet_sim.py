@@ -14,7 +14,12 @@ through one numpy busy-chain per first-hop port (send_burst) and
 retransmission timers collapse into one lazy ladder per flow — both
 reproduce the scalar per-packet-event engine's floats and RNG draws bit
 for bit (tests/test_packet_differential.py keeps that engine as its
-oracle).  Traced and untraced runs execute the same code: a tracer only
+oracle).  Routes are resolved once per connection, not per packet: a
+flow reads its path ids' routes from the topology's memoized
+per-connection table (``DualPlaneTopology.connection_paths``) on first
+use and keeps one ``(ports, hop count)`` tuple per path id, so sending a
+packet costs one dict lookup; ``send`` and ``send_burst`` take those
+tuples.  Traced and untraced runs execute the same code: a tracer only
 adds records (drops, RTOs, flow spans, scheduler callbacks), it never
 changes what is scheduled.
 """
@@ -123,10 +128,6 @@ class PacketNetSim:
         self.ecn_threshold = ecn_threshold
         self.max_queue = max_queue
         self._ports = {}
-        #: id(route) -> (route, tuple of PortState) — per-route port
-        #: resolution memo, see send_packet().  The entry keeps the route
-        #: object alive, so its id can never be recycled while cached.
-        self._route_ports = {}
         self.packets_sent = 0
         self.packets_delivered = 0
         self.packets_dropped = 0
@@ -219,26 +220,31 @@ class PacketNetSim:
                 severity=severity, drop_prob=drop_prob,
             )
 
+    def resolve(self, route):
+        """``(ports, hop count)`` of a route (a sequence of LinkRefs): the
+        form :meth:`send` and :meth:`send_burst` take.  Creates the
+        route's port states in hop order if they do not exist yet."""
+        ports = tuple(self.port(ref) for ref in route)
+        return ports, len(ports)
+
     def send_packet(self, route, size, on_delivered, on_dropped=None):
         """Forward one packet along ``route`` (a sequence of LinkRefs).
+
+        Resolves the route's ports on every call; senders that reuse a
+        route keep its :meth:`resolve` tuple and call :meth:`send`.
+        """
+        self.send(self.resolve(route), size, on_delivered, on_dropped)
+
+    def send(self, resolved, size, on_delivered, on_dropped=None):
+        """Forward one packet along a :meth:`resolve`'d route.
 
         ``on_delivered(latency, ecn_marked)`` fires at the destination;
         ``on_dropped(link)`` fires at the drop point.
         """
         self.packets_sent += 1
-        # Resolve the route's PortStates once per packet instead of once
-        # per hop: routes from DualPlaneTopology.route() are interned
-        # tuples, so an identity-checked id() memo replaces one LinkRef
-        # dict lookup per hop (a Python-level __hash__ call each) with a
-        # single int-keyed get per packet.  The memo entry pins the route
-        # object, so a cached id can never be recycled.
-        entry = self._route_ports.get(id(route))
-        if entry is None or entry[0] is not route:
-            ports = tuple(self.port(ref) for ref in route)
-            entry = (route, ports, len(ports))
-            self._route_ports[id(route)] = entry
+        ports, hop_count = resolved
         packet = (
-            entry[1], entry[2], size, self.scheduler.now,
+            ports, hop_count, size, self.scheduler.now,
             on_delivered, on_dropped,
         )
         self._hop(packet, 0, False)
@@ -303,7 +309,8 @@ class PacketNetSim:
     def send_burst(self, rows):
         """Vectorized hop 0 for a same-instant burst from one sender.
 
-        ``rows`` is a list of ``(route, size, on_delivered)``.  The
+        ``rows`` is a list of ``(resolved, size, on_delivered)``, with
+        ``resolved`` a route's :meth:`resolve` tuple.  The
         caller guarantees no first-hop port in the burst can randomly
         drop (batching would otherwise reorder the drop draws relative
         to the scalar path-draw/hop interleaving).  When every row
@@ -319,21 +326,11 @@ class PacketNetSim:
         count = len(rows)
         self.packets_sent += count
         now = self.scheduler.now
-        route_ports = self._route_ports
-        entries = []
-        for row in rows:
-            route = row[0]
-            entry = route_ports.get(id(route))
-            if entry is None or entry[0] is not route:
-                ports = tuple(self.port(ref) for ref in route)
-                entry = (route, ports, len(ports))
-                route_ports[id(route)] = entry
-            entries.append(entry)
-        port = entries[0][1][0]
+        port = rows[0][0][0][0]
         vector = port.drop_prob == 0.0
         if vector:
-            for entry in entries:
-                if entry[1][0] is not port:
+            for row in rows:
+                if row[0][0][0] is not port:
                     vector = False
                     break
         if vector:
@@ -371,20 +368,18 @@ class PacketNetSim:
                 schedule_call = self.scheduler.schedule_call
                 hop = self._hop
                 for i in range(count):
-                    entry = entries[i]
-                    row = rows[i]
+                    (ports, hop_count), size, on_delivered = rows[i]
                     packet = (
-                        entry[1], entry[2], row[1], now, row[2], _drop_ignored,
+                        ports, hop_count, size, now, on_delivered,
+                        _drop_ignored,
                     )
                     schedule_call(
                         float(delays[i]), partial(hop, packet, 1, bool(ecn[i])),
                     )
                 return
         hop = self._hop
-        for i in range(count):
-            entry = entries[i]
-            row = rows[i]
-            packet = (entry[1], entry[2], row[1], now, row[2], _drop_ignored)
+        for (ports, hop_count), size, on_delivered in rows:
+            packet = (ports, hop_count, size, now, on_delivered, _drop_ignored)
             hop(packet, 0, False)
 
     # -- statistics -------------------------------------------------------
@@ -506,7 +501,6 @@ class MessageFlow:
     ):
         self.sim = sim
         self._scheduler = sim.scheduler  # hot-path alias (sim.now property)
-        self._send_packet = sim.send_packet  # hot-path bound method
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -557,9 +551,12 @@ class MessageFlow:
             self._selector_feedback = None
         else:
             self._selector_feedback = selector.on_feedback
-        #: path id -> interned route; (src, dst, rail, connection_id) are
-        #: fixed per flow, so the topology route key shrinks to one int.
-        self._routes = {}
+        #: path id -> (ports, hop count) on this sim, filled on each path
+        #: id's first transmit from the topology's table of the connection.
+        #: The table is fetched at the first transmit too, not here, so
+        #: building a flow does no route work.
+        self._paths = {}
+        self._table = None
         if recovery not in ("selective", "go_back_n"):
             raise ValueError("unknown recovery mode %r" % recovery)
         #: "selective" is Stellar's out-of-order-tolerant recovery (Direct
@@ -613,14 +610,21 @@ class MessageFlow:
             self._next_seq = seq + 1
             self._transmit(seq, size, next_path(now=now))
 
-    def _transmit(self, seq, size, path):
-        route = self._routes.get(path)
-        if route is None:
-            route = self.sim.topology.route(
-                self.src, self.dst, self.rail,
-                path_id=path, connection_id=self.connection_id,
+    def _resolve(self, path):
+        """Resolve ``path``'s route to ports on its first transmit."""
+        table = self._table
+        if table is None:
+            table = self._table = self.sim.topology.connection_paths(
+                self.src, self.dst, self.rail, self.conn.path_count,
+                self.connection_id,
             )
-            self._routes[path] = route
+        resolved = self._paths[path] = self.sim.resolve(table[path])
+        return resolved
+
+    def _transmit(self, seq, size, path):
+        resolved = self._paths.get(path)
+        if resolved is None:
+            resolved = self._resolve(path)
         scheduler = self._scheduler
         sent_at = scheduler.now
         tx_id = self._next_tx_id
@@ -637,11 +641,11 @@ class MessageFlow:
         if not self._rto_timer_armed:
             self._rto_timer_armed = True
             scheduler.schedule_at(deadline, self._rto_tick)
-        self._send_packet(
-            route,
+        self.sim.send(
+            resolved,
             size,
-            on_delivered=partial(self._on_delivered, seq, size, path, sent_at),
-            on_dropped=_drop_ignored,
+            partial(self._on_delivered, seq, size, path, sent_at),
+            _drop_ignored,
         )
 
     def _burst_eligible(self):
@@ -651,20 +655,19 @@ class MessageFlow:
         only exact when no first-hop port can randomly drop (no drop
         draw can interleave with the path draws).  A sim that never saw
         inject_loss() qualifies outright — no port anywhere draws.
-        Otherwise eligibility needs every path's route resolved so each
-        first hop can be checked, and the verdict is cached per loss
-        epoch (inject_loss invalidates it).
+        Otherwise eligibility needs every path id resolved so each first
+        hop can be checked, and the verdict is cached per loss epoch
+        (inject_loss invalidates it).
         """
         sim = self.sim
         if sim._loss_epoch == 0:
             return True
-        routes = self._routes
-        if len(routes) < self.conn.path_count:
+        paths = self._paths
+        if len(paths) < self.conn.path_count:
             return False
         if self._burst_epoch == sim._loss_epoch:
             return self._burst_safe
-        port = sim.port
-        safe = all(port(route[0]).drop_prob == 0.0 for route in routes.values())
+        safe = all(ports[0].drop_prob == 0.0 for ports, _ in paths.values())
         self._burst_epoch = sim._loss_epoch
         self._burst_safe = safe
         return safe
@@ -676,7 +679,7 @@ class MessageFlow:
         consumes no RNG here (_burst_eligible), so batching them ahead
         of the hops leaves the draw sequence unchanged.
         """
-        routes = self._routes
+        paths = self._paths
         ladder = self._rto_ladder
         outstanding = self._outstanding
         on_delivered = self._on_delivered
@@ -686,15 +689,11 @@ class MessageFlow:
         rows = []
         for size in sizes:
             path = next_path(now=now)
-            route = routes.get(path)
-            if route is None:
-                route = self.sim.topology.route(
-                    self.src, self.dst, self.rail,
-                    path_id=path, connection_id=self.connection_id,
-                )
-                routes[path] = route
+            resolved = paths.get(path)
+            if resolved is None:
+                resolved = self._resolve(path)
             rows.append(
-                (route, size, partial(on_delivered, seq, size, path, now))
+                (resolved, size, partial(on_delivered, seq, size, path, now))
             )
             ladder.append((deadline, seq, size, path, tx_id))
             outstanding[seq] = (size, path, tx_id)

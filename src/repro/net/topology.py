@@ -21,6 +21,15 @@ the capacity array in that order, and :meth:`DualPlaneTopology.spray`
 memoizes each uniform spray's plan row and route shares in it.  The
 packet/fluid simulators attach their own state (queues, rates) to those
 links.
+
+Routes are resolved once per topology.  :meth:`DualPlaneTopology.route`
+interns one route per (src, dst, rail, path id, connection);
+:meth:`DualPlaneTopology.connection_paths` memoizes a spray connection's
+whole :class:`ConnectionPaths` table, which the packet simulator's flows
+read instead of calling ``route()`` per new path id.  A table picks every
+path id's (plane, agg) in one vector pass but builds each route on its
+first use, so links are numbered in the same order as the equivalent
+sequence of ``route()`` calls.
 """
 
 import numpy as np
@@ -113,6 +122,46 @@ class ServerAddress:
         return "ServerAddress(seg=%d, idx=%d)" % (self.segment, self.index)
 
 
+class ConnectionPaths:
+    """One spray connection's routes, indexed by path id.
+
+    Built by :meth:`DualPlaneTopology.connection_paths`: the (plane, agg)
+    choice of every path id ``0..path_count-1`` comes from one
+    :meth:`DualPlaneTopology.path_choices` vector pass, and ``table[p]``
+    builds path ``p``'s links on its first read and returns the same
+    tuple forever after.  ``table[p]`` equals the topology's
+    ``route(src, dst, rail, p, connection_id)``, and because each route is
+    built when it is first read, a sequence of ``table[p]`` reads interns
+    links (and so numbers them) exactly as the same sequence of
+    ``route()`` calls would.
+    """
+
+    __slots__ = ("_topology", "src", "dst", "rail", "_planes", "_aggs",
+                 "_routes")
+
+    def __init__(self, topology, src, dst, rail, path_count, connection_id):
+        planes, aggs = topology.path_choices(src, dst, path_count,
+                                             connection_id)
+        self._topology = topology
+        self.src = src
+        self.dst = dst
+        self.rail = rail
+        self._planes = planes.tolist()
+        self._aggs = aggs.tolist()
+        self._routes = [None] * path_count
+
+    def __getitem__(self, path_id):
+        """The interned route of ``path_id``, built on first read."""
+        route = self._routes[path_id]
+        if route is None:
+            route = self._topology._route_links(
+                self.src, self.dst, self.rail,
+                self._planes[path_id], self._aggs[path_id],
+            )
+            self._routes[path_id] = route
+        return route
+
+
 class DualPlaneTopology:
     """Structure + routing for the rail-optimized dual-plane fabric."""
 
@@ -138,12 +187,9 @@ class DualPlaneTopology:
             tor_uplink_rate if tor_uplink_rate is not None else port_rate
         )
         self._hasher = EcmpHasher(planes * aggs_per_plane)
-        # Per-(src, dst, rail, path, connection) resolved routes.  Route
-        # resolution (flow entropy + ECMP hash + four LinkRef builds) is
-        # the hottest per-packet topology work, and the key space is tiny
-        # compared to packet counts, so routes are resolved once and the
-        # interned tuples handed out forever.  Topology structure is
-        # immutable after construction, so the cache never invalidates.
+        # Per-(src, dst, rail, path, connection) resolved routes of
+        # route() callers.  Topology structure is immutable after
+        # construction, so the cache never invalidates.
         self._route_cache = {}
         # Interned LinkRefs: one instance per directed port, so the
         # simulators' per-port dict lookups hit CPython's identity
@@ -155,6 +201,9 @@ class DualPlaneTopology:
         # Per-(src, dst, rail, path count, connection) uniform sprays:
         # one entry per distinct static spray flow, see spray().
         self._spray_cache = {}
+        # Per-(src, dst, rail, path count, connection) route tables of
+        # packet-level spray connections, see connection_paths().
+        self._connection_paths = {}
 
     # -- enumeration -------------------------------------------------------
 
@@ -329,6 +378,26 @@ class DualPlaneTopology:
             self._spray_cache[key] = entry
         return entry
 
+    def connection_paths(self, src, dst, rail, path_count, connection_id=0):
+        """The memoized :class:`ConnectionPaths` of one spray connection.
+
+        One table per (src, dst, rail, path count, connection) for the
+        topology's lifetime, so every simulator run on this topology (and
+        on views that delegate to it) resolves a path id's route once.
+        """
+        key = (
+            src.segment, src.index, dst.segment, dst.index,
+            rail, path_count, connection_id,
+        )
+        table = self._connection_paths.get(key)
+        if table is None:
+            if src == dst:
+                raise ValueError("route to self: %r" % (src,))
+            table = ConnectionPaths(self, src, dst, rail, path_count,
+                                    connection_id)
+            self._connection_paths[key] = table
+        return table
+
     def _route_links(self, src, dst, rail, plane, agg):
         if src.segment == dst.segment:
             # Same ToR: host -> ToR -> host; the plane still matters (two
@@ -349,9 +418,9 @@ class DualPlaneTopology:
         path id.  Rail-optimized: traffic never changes rails.
 
         Returns an interned, immutable tuple — the same object for the
-        same (src, dst, rail, path, connection) — so per-packet callers
-        never pay resolution twice and port-dict lookups hit the LinkRef
-        identity fast path.
+        same (src, dst, rail, path, connection).  Callers that resolve
+        many path ids of one connection read its
+        :meth:`connection_paths` table instead.
         """
         key = (
             src.segment, src.index, dst.segment, dst.index,

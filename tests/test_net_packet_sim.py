@@ -201,3 +201,60 @@ class TestQueueStats:
         spray_max, spray_goodput = run("obs", 128)
         assert spray_max < single_max * 0.5
         assert spray_goodput > single_goodput
+
+
+class TestRouteResolution:
+    """Efficiency pin: a spray connection's routes are resolved once per
+    topology, through its ``connection_paths`` table, never per packet."""
+
+    def permutation(self, topology, seed):
+        from repro.rnic.cc import WindowCC
+
+        sim = PacketNetSim(topology, seed=seed)
+        flows = [
+            MessageFlow(
+                sim, "perm-%d" % i, ServerAddress(0, i),
+                ServerAddress(1, (i + 1) % 4), 0, message_bytes=16 * MB,
+                algorithm="obs", path_count=128, mtu=64 * 1024,
+                connection_id=i, cc=WindowCC(init_window=1 * MB),
+            )
+            for i in range(4)
+        ]
+        # The same lossy uplink every time, named without route().
+        sim.inject_loss(topology.tor_up(0, 0, 1, 2), 0.5)
+        return sim, flows
+
+    def test_each_connection_path_is_interned_once_per_topology(
+        self, monkeypatch
+    ):
+        from repro.cluster import ContendedTopology
+
+        topo = small_topo(aggs_per_plane=8)
+        built = []
+        route_links = topo._route_links  # simlint: ok L-private
+
+        def counting(*args):
+            built.append(args)
+            return route_links(*args)
+
+        monkeypatch.setattr(topo, "_route_links", counting)
+
+        def no_route(*args, **kwargs):
+            raise AssertionError("packet sim called DualPlaneTopology.route")
+
+        monkeypatch.setattr(DualPlaneTopology, "route", no_route)
+        sim, flows = self.permutation(topo, seed=7)
+        first = run_flows(sim, flows, timeout=0.004)
+        assert sum(r.retransmissions for r in first) > 0
+        used = sum(len(flow._paths) for flow in flows)  # simlint: ok L-private
+        # OBS-128 over 16 (plane, agg) choices: most path ids get drawn.
+        assert used > 4 * 64
+        assert len(built) == used
+        # A fresh sim on a view of the same topology, as each fleet
+        # pricing window builds, reuses every table: no new routes.
+        again, flows = self.permutation(ContendedTopology(topo, {}), seed=7)
+        second = run_flows(again, flows, timeout=0.004)
+        assert len(built) == used
+        assert [(r.bytes_acked, r.retransmissions) for r in second] == [
+            (r.bytes_acked, r.retransmissions) for r in first
+        ]

@@ -156,6 +156,64 @@ class TestPathChoices:
             assert rates[link.index] == topo.link_rate(link)
 
 
+class TestConnectionPaths:
+    """``connection_paths`` (one vector choice pass, routes built on first
+    read) against per-path-id ``route()`` calls."""
+
+    @staticmethod
+    def shape(planes, aggs):
+        return dict(segments=2, servers_per_segment=3, rails=2,
+                    planes=planes, aggs_per_plane=aggs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        planes=st.integers(1, 2),
+        aggs=st.integers(1, 60),
+        cross=st.booleans(),
+        path_count=st.integers(1, 256),
+        connection_id=st.integers(0, (1 << 64) - 1),
+        data=st.data(),
+    )
+    def test_table_matches_route_and_its_link_numbering(
+        self, planes, aggs, cross, path_count, connection_id, data
+    ):
+        src = ServerAddress(0, 1)
+        dst = ServerAddress(1 if cross else 0, 2)
+        rail = data.draw(st.integers(0, 1), label="rail")
+        order = data.draw(
+            st.lists(st.integers(0, path_count - 1), max_size=300),
+            label="path ids",
+        )
+        # The same first-use order through the table and through route(),
+        # each on a fresh topology: the links get the same numbering.
+        tabled = DualPlaneTopology(**self.shape(planes, aggs))
+        routed = DualPlaneTopology(**self.shape(planes, aggs))
+        table = tabled.connection_paths(src, dst, rail, path_count,
+                                        connection_id)
+        for path_id in order:
+            assert [link.index for link in table[path_id]] == [
+                link.index for link in routed.route(
+                    src, dst, rail, path_id=path_id,
+                    connection_id=connection_id,
+                )
+            ]
+        # Every path id, read or not: the table's route is route()'s, and
+        # a read returns the interned tuple again.
+        for path_id in range(path_count):
+            route = table[path_id]
+            assert route == tabled.route(src, dst, rail, path_id=path_id,
+                                         connection_id=connection_id)
+            assert table[path_id] is route
+        assert tabled.connection_paths(src, dst, rail, path_count,
+                                       connection_id) is table
+
+    def test_route_to_self_is_rejected(self):
+        topo = DualPlaneTopology(**self.shape(2, 4))
+        with pytest.raises(ValueError):
+            topo.connection_paths(ServerAddress(0, 0), ServerAddress(0, 0),
+                                  0, 8)
+
+
 class TestTopology:
     def topo(self):
         return DualPlaneTopology(
